@@ -2,16 +2,21 @@
 
 Connection points with least common denominator N project to numerator
 vectors [a, b, c, d] in (Z/N)^4 with gcd(a, b, c, d, N) = 1; both generators
-descend to invertible affine-free linear maps on these vectors.  The number of
-connected components C(N) of the resulting graph bounds the orbit count from
-below.  Components are computed twice: a vectorized label-propagation pass
-(fast path) and an independent union-find pass (cross-check).
+descend to invertible affine-free linear maps on these vectors.  The wiring
+comes from the cylinder periods alone: mod N a power of A adds x*p_left to y
+and a power of B adds y*p_low to x, since the reductions modulo a period (or
+modulo 1) subtract integer multiples of it, which vanish mod N.  Expanding
+those products over the basis 1, w with w^2 = e + f*w gives each generator's
+integer block (``_twists``).  The number of connected components C(N) of the
+resulting graph bounds the orbit count from below.  Components are computed
+twice: a vectorized label-propagation pass (fast path) and an independent
+union-find pass (cross-check).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -50,120 +55,78 @@ class ModNVec:
         return f"[{self.a},{self.b},{self.c},{self.d}] mod {self.N}"
 
 
-def _coeffs(proto: SurfaceProto) -> tuple[int, int]:
-    """(e, eps) with w^2 = e + f*w; e must be an integer for the action to
-    descend to numerators mod N.  The per-eps wiring (from expanding the twist
-    terms x*w, y*(1+w), ... over the basis 1, w):
-      eps=0:  A: c += e*b,     d += a;      B: a += c + e*d, b += c + d
-      eps=+1: A: c += e*b - a, d += a;      B: a += c + e*d, b += c + 2*d
-      eps=-1: A: c += e*b,     d += a + b;  B: a += e*d,     b += c + d
+Block = tuple[tuple[int, int], tuple[int, int]]
+
+
+@lru_cache(maxsize=None)
+def _twists(proto: SurfaceProto) -> tuple[Block, Block]:
+    """Integer blocks of A and B on numerator pairs, from the cylinder periods.
+
+    Multiplying a + b*w by the period r + s*w gives
+    (r*a + e*s*b) + (s*a + (r + f*s)*b)*w.  A adds (a, b) times the block of
+    p_left to (c, d); B adds (c, d) times the block of p_low to (a, b).
     """
-    e = proto.field.e
-    if e.denominator != 1:
-        raise ValueError("mod-N action needs integer e = w^2 - f*w")
-    return int(e), proto.eps
+    e, f = proto.field.e, proto.field.f
+    blocks = []
+    for p in (proto.p_left, proto.p_low):
+        block = ((p.r, e * p.i), (p.i, p.r + f * p.i))
+        if any(x.denominator != 1 for row in block for x in row):
+            raise ValueError("mod-N action needs an integral twist block")
+        blocks.append(tuple(tuple(int(x) for x in row) for row in block))
+    return blocks[0], blocks[1]
+
+
+def _moved(m: Block, sign: int, x, y, X, Y, N: int):
+    """(X, Y) + sign*m*(x, y) mod N, on ints or on numpy arrays."""
+    (p, q), (r, s) = m
+    return (X + sign * (p * x + q * y)) % N, (Y + sign * (r * x + s * y)) % N
 
 
 def act(v: ModNVec, gen: str, proto: SurfaceProto | None = None) -> ModNVec:
     """One generator step on a residue vector.
 
     gen is "A", "B", "A-1" or "B-1".  Default coefficients are those of L_8;
-    passing another prototype uses its (experimental) linearized action.
+    passing another prototype uses its own cylinder periods.
     """
-    proto = proto if proto is not None else _L8
-    e, eps = _coeffs(proto)
-    N = v.N
-    a, b, c, d = v.a, v.b, v.c, v.d
-    if gen == "A":
-        if eps == 0:
-            c, d = c + e * b, d + a
-        elif eps == 1:
-            c, d = c + e * b - a, d + a
-        else:
-            c, d = c + e * b, d + a + b
-    elif gen == "A-1":
-        if eps == 0:
-            c, d = c - e * b, d - a
-        elif eps == 1:
-            c, d = c - e * b + a, d - a
-        else:
-            c, d = c - e * b, d - a - b
-    elif gen == "B":
-        if eps == 0:
-            a, b = a + c + e * d, b + c + d
-        elif eps == 1:
-            a, b = a + c + e * d, b + c + 2 * d
-        else:
-            a, b = a + e * d, b + c + d
-    elif gen == "B-1":
-        if eps == 0:
-            a, b = a - c - e * d, b - c - d
-        elif eps == 1:
-            a, b = a - c - e * d, b - c - 2 * d
-        else:
-            a, b = a - e * d, b - c - d
-    else:
+    if gen not in ("A", "A-1", "B", "B-1"):
         raise ValueError(f"unknown generator {gen!r}")
-    return ModNVec(N, a % N, b % N, c % N, d % N)
+    mA, mB = _twists(proto if proto is not None else _L8)
+    N, sign = v.N, -1 if gen.endswith("-1") else 1
+    if gen[0] == "A":
+        return ModNVec(N, v.a, v.b, *_moved(mA, sign, v.a, v.b, v.c, v.d, N))
+    return ModNVec(N, *_moved(mB, sign, v.c, v.d, v.a, v.b, N), v.c, v.d)
 
 
 def project(P: SurfacePoint) -> ModNVec:
     """Numerators of (x_r, x_i, y_r, y_i) over the common denominator N, mod N."""
     N = n_value(P)
-    comps = []
-    for frac in (P.x.r, P.x.i, P.y.r, P.y.i):
-        scaled = frac * N
-        assert scaled.denominator == 1
-        comps.append(scaled.numerator % N)
-    return ModNVec(N, *comps)
+    return ModNVec(N, *(q.numerator * (N // q.denominator) % N for q in P.key))
 
 
 # -- component counting -----------------------------------------------------
 
 
-def _perm_images(N: int, e: int, eps: int) -> list[np.ndarray]:
+def _digits(idx, N: int):
+    """(a, b, c, d) of a dense (Z/N)^4 index, on ints or on numpy arrays."""
+    return idx // N**3, (idx // N**2) % N, (idx // N) % N, idx % N
+
+
+def _perm_images(N: int, proto: SurfaceProto) -> list[np.ndarray]:
     """Dense index permutations for A, A^-1, B, B^-1 over all of (Z/N)^4."""
-    idx = np.arange(N**4, dtype=np.int64)
-    d = idx % N
-    c = (idx // N) % N
-    b = (idx // N**2) % N
-    a = idx // N**3
+    mA, mB = _twists(proto)
+    a, b, c, d = _digits(np.arange(N**4, dtype=np.int64), N)
 
     def enc(a_, b_, c_, d_):
         return ((a_ * N + b_) * N + c_) * N + d_
 
-    if eps == 0:
-        imgs = [
-            enc(a, b, (c + e * b) % N, (d + a) % N),
-            enc(a, b, (c - e * b) % N, (d - a) % N),
-            enc((a + c + e * d) % N, (b + c + d) % N, c, d),
-            enc((a - c - e * d) % N, (b - c - d) % N, c, d),
-        ]
-    elif eps == 1:
-        imgs = [
-            enc(a, b, (c + e * b - a) % N, (d + a) % N),
-            enc(a, b, (c - e * b + a) % N, (d - a) % N),
-            enc((a + c + e * d) % N, (b + c + 2 * d) % N, c, d),
-            enc((a - c - e * d) % N, (b - c - 2 * d) % N, c, d),
-        ]
-    else:
-        imgs = [
-            enc(a, b, (c + e * b) % N, (d + a + b) % N),
-            enc(a, b, (c - e * b) % N, (d - a - b) % N),
-            enc((a + e * d) % N, (b + c + d) % N, c, d),
-            enc((a - e * d) % N, (b - c - d) % N, c, d),
-        ]
-    return imgs
+    return [enc(a, b, *_moved(mA, s, a, b, c, d, N)) for s in (1, -1)] + [
+        enc(*_moved(mB, s, c, d, a, b, N), c, d) for s in (1, -1)
+    ]
 
 
 def _valid_mask(N: int) -> np.ndarray:
-    idx = np.arange(N**4, dtype=np.int64)
-    d = idx % N
-    c = (idx // N) % N
-    b = (idx // N**2) % N
-    a = idx // N**3
-    g = np.gcd(np.gcd(a, b), np.gcd(c, d))
-    return np.gcd(g, N) == 1
+    a, b, c, d = _digits(np.arange(N**4, dtype=np.int64), N)
+    return np.gcd(np.gcd(np.gcd(a, b), np.gcd(c, d)), N) == 1
 
 
 def components(
@@ -184,13 +147,7 @@ def components(
     labels = component_labels(N, proto)
     mask = _valid_mask(N)
     roots = np.unique(labels[mask])
-    reps = []
-    for r in roots:
-        d = int(r % N)
-        c = int((r // N) % N)
-        b = int((r // N**2) % N)
-        a = int(r // N**3)
-        reps.append(ModNVec(N, a, b, c, d))
+    reps = [ModNVec(N, *(int(x) for x in _digits(r, N))) for r in roots]
     return len(roots), reps
 
 
@@ -203,8 +160,7 @@ def component_labels(N: int, proto: SurfaceProto | None = None) -> np.ndarray:
     proto = proto if proto is not None else _L8
     if N == 1:
         return np.zeros(1, dtype=np.int64)
-    e, eps = _coeffs(proto)
-    imgs = _perm_images(N, e, eps)
+    imgs = _perm_images(N, proto)
     labels = np.arange(N**4, dtype=np.int64)
     while True:
         new = labels
@@ -247,10 +203,9 @@ def components_unionfind(N: int, proto: SurfaceProto | None = None) -> int:
     proto = proto if proto is not None else _L8
     if N == 1:
         return 1
-    e, eps = _coeffs(proto)
     size = N**4
     uf = _UnionFind(size)
-    imgA, _, imgB, _ = _perm_images(N, e, eps)
+    imgA, _, imgB, _ = _perm_images(N, proto)
     for i in range(size):
         uf.union(i, int(imgA[i]))
         uf.union(i, int(imgB[i]))

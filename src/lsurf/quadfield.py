@@ -207,7 +207,8 @@ class QuadNum:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.r, self.i))
+        # rational values hash like the int/Fraction they compare equal to
+        return hash(self.r) if self.i == 0 else hash((self.r, self.i))
 
     def __lt__(self, other: QuadNum | Fraction | int) -> bool:
         return (self - other).sign() < 0

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .modn import components
+from .modn import _UnionFind, components
 from .quadfield import QuadNum
+from .schreier import ResourceCapError
 from .surface import (
     GeneratorWord,
     InvalidPointError,
@@ -143,14 +144,17 @@ def reduce_point(
 # -- enumeration of S and the orbit-class bracket ----------------------------
 
 
-def enumerate_S(N: int, proto: SurfaceProto | None = None) -> dict[tuple, SurfacePoint]:
+def enumerate_S(
+    N: int, proto: SurfaceProto | None = None, max_points: int | None = None
+) -> dict[tuple, SurfacePoint]:
     """All canonical points of S with least common denominator exactly N.
 
     Numerators over denominator N: the irrational parts range over
     |b|, |d| <= floor(N*(35+24w)) and the rational parts over the finitely
     many values placing the point inside the polygon; gcd(a,b,c,d,N)=1 pins
     the denominator.  Singular corners are skipped; identified edge points
-    deduplicate through canonical normalization.
+    deduplicate through canonical normalization.  Raises ResourceCapError as
+    soon as more than max_points points exist.
     """
     proto = proto if proto is not None else _L8
     bound = s_bound(proto)
@@ -185,6 +189,8 @@ def enumerate_S(N: int, proto: SurfaceProto | None = None) -> dict[tuple, Surfac
             except InvalidPointError:
                 continue
             points.setdefault(point.key, point)
+            if max_points is not None and len(points) > max_points:
+                raise ResourceCapError(f"S has more than {max_points} points")
     return points
 
 
@@ -228,9 +234,7 @@ def orbit_class_bracket(
     count from above while C(N) bounds it from below.
     """
     proto = proto if proto is not None else _L8
-    pts = enumerate_S(N, proto)
-    if len(pts) > max_points:
-        raise ResourceWarning(f"S has {len(pts)} points, above cap {max_points}")
+    pts = enumerate_S(N, proto, max_points)
     excluded = []
     vertices: list[SurfacePoint] = []
     for key, point in pts.items():
@@ -240,21 +244,7 @@ def orbit_class_bracket(
             vertices.append(point)
     index = {p.key: i for i, p in enumerate(vertices)}
 
-    parent = list(range(len(vertices)))
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
+    uf = _UnionFind(len(vertices))
     for i, point in enumerate(vertices):
         for gen, exp in (("A", 1), ("A", -1), ("B", 1), ("B", -1)):
             moved = apply_A(point, exp) if gen == "A" else apply_B(point, exp)
@@ -262,15 +252,15 @@ def orbit_class_bracket(
             j = index.get(out.key)
             if j is None:
                 raise AssertionError(f"reduction left the enumerated set: {out}")
-            union(i, j)
+            uf.union(i, j)
 
     groups: dict[int, list[int]] = {}
     for i in range(len(vertices)):
-        groups.setdefault(find(i), []).append(i)
+        groups.setdefault(uf.find(i), []).append(i)
     class_sizes = sorted((len(g) for g in groups.values()), reverse=True)
     reps = sorted(str(vertices[min(g)]) for g in groups.values())
     lower = components(N, proto)[0]
-    classes = {vertices[i].key: find(i) for i in range(len(vertices))}
+    classes = {vertices[i].key: uf.find(i) for i in range(len(vertices))}
     return BracketReport(
         N=N,
         lower=lower,

@@ -9,6 +9,7 @@ is evidence about the infinite component, not a proof.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -128,29 +129,30 @@ class OrbitGraph:
         return "\n".join(lines)
 
 
-def expand_ball(
-    P: SurfacePoint,
-    gens: list[GenPower] | tuple[GenPower, ...],
-    radius: int,
-    max_vertices: int = 200_000,
-) -> OrbitGraph:
-    """BFS ball of the given radius; vertices deduplicated by exact coordinates."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    gens = _gen_order(gens)
-    ball = OrbitGraph(proto=P.proto, gens=gens, root=P.key)
+def _jointly_periodic(P: SurfacePoint) -> bool:
+    return is_A_periodic(P) and is_B_periodic(P)
+
+
+def _bfs(ball: OrbitGraph, P: SurfacePoint, radius: int, max_vertices: int) -> OrbitGraph:
+    """Fill ``ball`` breadth-first from P out to the radius; vertices are
+    deduplicated by exact coordinates.  A pruned (g2) ball must never reach a
+    vertex periodic under both generators."""
     ball.points[P.key] = P
     ball.depth[P.key] = 0
-    queue = [P.key]
+    queue = deque([P.key])
     while queue:
-        key = queue.pop(0)
+        key = queue.popleft()
         d = ball.depth[key]
         if d >= radius:
             ball.frontier.add(key)
             continue
         point = ball.points[key]
-        for gen in gens:
+        for gen in ball.gens:
             img = _apply(point, gen)
+            if ball.g2 and _jointly_periodic(img):
+                # cannot happen unless the start itself were pruned: a pruned
+                # point is fixed by these powers, and the powers are invertible
+                raise AssertionError(f"pruned vertex reached from {key}")
             ikey = img.key
             if ikey not in ball.points:
                 if len(ball.points) >= max_vertices:
@@ -166,8 +168,17 @@ def expand_ball(
     return ball
 
 
-def _jointly_periodic(P: SurfacePoint) -> bool:
-    return is_A_periodic(P) and is_B_periodic(P)
+def expand_ball(
+    P: SurfacePoint,
+    gens: list[GenPower] | tuple[GenPower, ...],
+    radius: int,
+    max_vertices: int = 200_000,
+) -> OrbitGraph:
+    """BFS ball of the given radius; vertices deduplicated by exact coordinates."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    ball = OrbitGraph(proto=P.proto, gens=_gen_order(gens), root=P.key)
+    return _bfs(ball, P, radius, max_vertices)
 
 
 def find_non_excluded_start(P: SurfacePoint, search_radius: int = 4) -> SurfacePoint:
@@ -212,37 +223,8 @@ def build_G2(
         N = n_value(P)
     th = thresholds(P.proto, N)
     gens: tuple[GenPower, ...] = (("A", th.k), ("A", -th.k), ("B", th.l), ("B", -th.l))
-    gens = _gen_order(gens)
-    ball = OrbitGraph(proto=P.proto, gens=gens, root=P.key, g2=True, N=N)
-    ball.points[P.key] = P
-    ball.depth[P.key] = 0
-    queue = [P.key]
-    while queue:
-        key = queue.pop(0)
-        d = ball.depth[key]
-        if d >= radius:
-            ball.frontier.add(key)
-            continue
-        point = ball.points[key]
-        for gen in gens:
-            img = _apply(point, gen)
-            if _jointly_periodic(img):
-                # cannot happen unless the start itself were pruned: a pruned
-                # point is fixed by these powers, and the powers are invertible
-                raise AssertionError(f"pruned vertex reached from {key}")
-            ikey = img.key
-            if ikey not in ball.points:
-                if len(ball.points) >= max_vertices:
-                    ball.partial = True
-                    raise ResourceCapError(
-                        f"ball exceeded {max_vertices} vertices", partial=ball
-                    )
-                ball.points[ikey] = img
-                ball.depth[ikey] = d + 1
-                queue.append(ikey)
-            ball.edges.append((key, ikey, gen))
-        ball.expanded.add(key)
-    return ball
+    ball = OrbitGraph(proto=P.proto, gens=_gen_order(gens), root=P.key, g2=True, N=N)
+    return _bfs(ball, P, radius, max_vertices)
 
 
 @dataclass

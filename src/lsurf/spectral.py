@@ -128,14 +128,12 @@ def rayleigh(G: FiniteGraph, b) -> float:
 
 
 def _laplacian_matrix(G: FiniteGraph) -> sp.csr_matrix:
-    deg = G.degrees()
-    rows = list(range(G.n))
-    data = [float(d) for d in deg]
-    mat = sp.coo_matrix((data, (rows, rows)), shape=(G.n, G.n)).tolil()
-    for u, v in G.edges:
-        mat[u, v] -= 1.0
-        mat[v, u] -= 1.0
-    return mat.tocsr()
+    diag = np.arange(G.n)
+    u, v = np.array(G.edges, dtype=np.int64).reshape(-1, 2).T
+    rows = np.concatenate([diag, u, v])
+    cols = np.concatenate([diag, v, u])
+    data = np.concatenate([np.array(G.degrees(), dtype=float), -np.ones(2 * len(u))])
+    return sp.coo_matrix((data, (rows, cols)), shape=(G.n, G.n)).tocsr()
 
 
 def dirichlet_mu0(G: FiniteGraph, support: set[int], dense_cutoff: int = 600) -> float:

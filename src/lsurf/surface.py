@@ -28,33 +28,23 @@ def _is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
-Matrix2 = tuple[tuple[QuadNum, QuadNum], tuple[QuadNum, QuadNum]]
-
-
-def _det2(mat: Matrix2) -> QuadNum:
-    return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-
-
 @dataclass(frozen=True, eq=False)
 class SurfaceProto:
     """Immutable prototype surface L_{D,eps} with all derived constants.
 
-    ``h_periods``/``v_periods`` are the horizontal/vertical cylinder
-    circumferences (lower/left first); the generator matrices are stored for
-    documentation and determinant checks, the actions use the per-cylinder
-    twist formulas directly.
+    ``p_low``/``p_left`` are the circumferences of the lower horizontal and
+    the left vertical cylinder; the other two cylinders have circumference 1.
+    B twists by p_low and A by p_left, which fixes both generators' wiring.
     """
 
     D: int
     eps: int
     field: FieldSpec
-    h_periods: tuple[QuadNum, QuadNum]
-    v_periods: tuple[QuadNum, QuadNum]
+    p_low: QuadNum
+    p_left: QuadNum
     upper_height: QuadNum
     right_width: QuadNum
     poly_height: QuadNum
-    genA: Matrix2
-    genB: Matrix2
     # linear periodicity conditions alpha*r + beta*i == 1 on the far cylinder
     a_right_cond: tuple[Fraction, Fraction]
     b_upper_cond: tuple[Fraction, Fraction]
@@ -65,14 +55,6 @@ class SurfaceProto:
     @property
     def w(self) -> QuadNum:
         return self.field.w
-
-    @property
-    def p_low(self) -> QuadNum:
-        return self.h_periods[0]
-
-    @property
-    def p_left(self) -> QuadNum:
-        return self.v_periods[0]
 
     @property
     def name(self) -> str:
@@ -111,20 +93,17 @@ def prototype(D: int, eps: int = 0) -> SurfaceProto:
     else:
         fs = FieldSpec(Fraction(D - 1, 4), Fraction(1), label="(1+sqrt(D))/2")
     w = fs.w
-    one = fs.one
 
     if eps == 0:
         proto = SurfaceProto(
             D=D,
             eps=0,
             field=fs,
-            h_periods=(one + w, one),
-            v_periods=(w, one),
+            p_low=w + 1,
+            p_left=w,
             upper_height=w - 1,
             right_width=w,
             poly_height=w,
-            genA=((one, fs.zero), (w, one)),
-            genB=((one, one + w), (fs.zero, one)),
             a_right_cond=(Fraction(1), Fraction(0)),
             b_upper_cond=(Fraction(1), Fraction(1)),
             a_left_coeff=w,
@@ -135,13 +114,11 @@ def prototype(D: int, eps: int = 0) -> SurfaceProto:
             D=D,
             eps=1,
             field=fs,
-            h_periods=(one + w, one),
-            v_periods=(w - 1, one),
+            p_low=w + 1,
+            p_left=w - 1,
             upper_height=w - 2,
             right_width=w,
             poly_height=w - 1,
-            genA=((one, fs.zero), (w - 1, one)),
-            genB=((one, one + w), (fs.zero, one)),
             a_right_cond=(Fraction(1), Fraction(0)),
             b_upper_cond=(Fraction(1), Fraction(2)),
             a_left_coeff=w,
@@ -152,20 +129,16 @@ def prototype(D: int, eps: int = 0) -> SurfaceProto:
             D=D,
             eps=-1,
             field=fs,
-            h_periods=(w, one),
-            v_periods=(w, one),
+            p_low=w,
+            p_left=w,
             upper_height=w - 1,
             right_width=w - 1,
             poly_height=w,
-            genA=((one, fs.zero), (w, one)),
-            genB=((one, w), (fs.zero, one)),
             a_right_cond=(Fraction(1), Fraction(1)),
             b_upper_cond=(Fraction(1), Fraction(1)),
             a_left_coeff=w - 1,
             b_lower_coeff=w - 1,
         )
-    if _det2(proto.genA) != 1 or _det2(proto.genB) != 1:
-        raise AssertionError("generator determinant check failed")
     if proto.upper_height.sign() <= 0:
         raise ValueError(f"degenerate upper cylinder for D={D}, eps={eps}")
     return proto

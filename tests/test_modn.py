@@ -70,8 +70,9 @@ def test_vertex_count_n2():
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
 def test_generators_are_permutations(N):
-    for img in _perm_images(N, 2, 0):
-        assert np.array_equal(np.sort(img), np.arange(N**4))
+    for D, eps in [(8, 0), (5, -1), (17, 1)]:
+        for img in _perm_images(N, prototype(D, eps)):
+            assert np.array_equal(np.sort(img), np.arange(N**4))
 
 
 def test_component_counts_match_reference():
@@ -115,7 +116,9 @@ def test_project_examples(L8):
     assert project(Q) == ModNVec(1, 0, 0, 0, 0)
 
 
-@pytest.mark.parametrize("D,eps", [(8, 0), (5, -1), (17, 1)])
+@pytest.mark.parametrize(
+    "D,eps", [(8, 0), (5, -1), (17, 1), (12, 0), (13, -1), (41, 1)]
+)
 def test_projection_equivariance_sampled(D, eps, rng):
     proto = prototype(D, eps)
     gens = (("A", 1, "A"), ("A", -1, "A-1"), ("B", 1, "B"), ("B", -1, "B-1"))

@@ -61,6 +61,12 @@ def test_golden_ratio_defining_relation():
     assert (one + w) * (w - 1) == w  # w^2 - 1 = w
 
 
+def test_rational_values_hash_like_rationals():
+    assert QuadNum(3, 0, SQRT2) == 3
+    assert QuadNum(3, 0, SQRT2) in {3}
+    assert hash(QuadNum(F(1, 2), 0, SQRT2)) == hash(F(1, 2))
+
+
 def test_mixed_fields_rejected():
     with pytest.raises(ValueError):
         q2(1, 0) + GOLDEN.one

@@ -9,9 +9,11 @@ from lsurf.reduce import (
     ReduceProgressError,
     enumerate_S,
     in_S,
+    orbit_class_bracket,
     reduce_point,
     s_bound,
 )
+from lsurf.schreier import ResourceCapError
 from lsurf.sampling import sample_point
 from lsurf.surface import SurfacePoint, apply_A, apply_B, n_value
 
@@ -120,3 +122,10 @@ def test_enumerate_s_small_denominator_membership(L8, rng):
         moved = apply_A(pts[key], 1)
         out = reduce_point(moved).output
         assert out.key in pts
+
+
+def test_bracket_cap_fires_during_enumeration():
+    with pytest.raises(ResourceCapError):
+        orbit_class_bracket(1, max_points=10)
+    with pytest.raises(ResourceCapError):
+        enumerate_S(1, max_points=10)

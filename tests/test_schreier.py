@@ -58,11 +58,15 @@ def test_radius2_vertex_bound(L8, rng):
 
 def test_resource_cap_carries_partial(L8):
     P = pt(L8, F(1, 5), F(1, 5), F(2, 5), F(1, 5))
-    with pytest.raises(ResourceCapError) as err:
-        expand_ball(P, SINGLE_STEPS, 3, max_vertices=4)
-    assert err.value.partial is not None
-    assert err.value.partial.partial is True
-    assert err.value.partial.order() >= 4
+    for explore in (
+        lambda: expand_ball(P, SINGLE_STEPS, 3, max_vertices=4),
+        lambda: build_G2(P, radius=3, max_vertices=4),
+    ):
+        with pytest.raises(ResourceCapError) as err:
+            explore()
+        assert err.value.partial is not None
+        assert err.value.partial.partial is True
+        assert err.value.partial.order() >= 4
 
 
 def test_deterministic_export(L8):

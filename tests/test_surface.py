@@ -57,9 +57,9 @@ def test_surface_selector():
 
 def test_generator_matrices(L8, L5m1, L17p1):
     w8 = L8.w
-    assert L8.genA[1][0] == w8 and L8.genB[0][1] == 1 + w8
-    assert L5m1.genB[0][1] == L5m1.w
-    assert L17p1.genA[1][0] == L17p1.w - 1
+    assert L8.p_left == w8 and L8.p_low == 1 + w8
+    assert L5m1.p_low == L5m1.w
+    assert L17p1.p_left == L17p1.w - 1
 
 
 # -- canonical domain ------------------------------------------------------------
