@@ -184,6 +184,8 @@ def cmd_spectral(args) -> int:
         data = json.load(fh)
     G = FiniteGraph.from_json_dict(data)
     root = args.root if args.root is not None else data.get("root", 0)
+    if not isinstance(root, int) or not 0 <= root < G.n:
+        raise ValueError(f"root {root} is not a vertex id of the {G.n}-vertex graph")
     support = graph_ball(G, root, args.support_radius)
     mu0 = dirichlet_mu0(G, support)
     out = {
@@ -194,7 +196,8 @@ def cmd_spectral(args) -> int:
         "max_degree": G.max_degree,
         "dirichlet_mu0": f"{mu0:.12g}",
     }
-    if args.sandwich and len(support) <= 20:
+    if args.sandwich:
+        # the brute-force Cheeger minimum raises ValueError beyond 20 vertices
         report = cheeger_sandwich_check(G, support, mu0_value=mu0)
         out["sandwich"] = report.describe()
         print(json.dumps(out, indent=2))
@@ -273,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="graph JSON (same schema as explore output)")
     p.add_argument("--support-radius", type=int, default=3)
     p.add_argument("--root", type=int, help="root id (default: the JSON root)")
-    p.add_argument("--sandwich", action="store_true", help="also brute-force the Cheeger bracket")
+    p.add_argument("--sandwich", action="store_true", help="also brute-force the Cheeger bracket (support <= 20 vertices)")
     p.set_defaults(fn=cmd_spectral)
 
     return parser

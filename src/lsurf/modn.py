@@ -130,12 +130,15 @@ def _valid_mask(N: int) -> np.ndarray:
 
 
 def components(
-    N: int, proto: SurfaceProto | None = None, max_vertices: int = 10**8
+    N: int, proto: SurfaceProto | None = None, max_vertices: int = 2 * 10**7
 ) -> tuple[int, list[ModNVec]]:
     """Connected components of the mod-N graph under both generators.
 
     Returns the count and one representative per component (smallest vector
     in lexicographic order).  Undirected closure: inverse edges included.
+    The N**4 dense vertices cost about 82 bytes each at peak (measured at
+    N = 24..44), so the default cap admits N <= 66, about 1.6 GB; the cap is
+    checked before anything is allocated.
     """
     proto = proto if proto is not None else _L8
     if N < 1:

@@ -29,6 +29,7 @@ from .surface import (
     apply_word,
     is_A_periodic,
     is_B_periodic,
+    numerator_window,
     prototype,
 )
 
@@ -157,26 +158,17 @@ def enumerate_S(
     soon as more than max_points points exist.
     """
     proto = proto if proto is not None else _L8
-    bound = s_bound(proto)
-    w = proto.w
-    nb = (bound * N).floor()
-
-    def rational_range(i_num: int, period: QuadNum) -> range:
-        # r/N + (i_num/N) w in [0, period)  <=>  r in [-i_num*w, N*period - i_num*w)
-        lo = (-w * i_num).ceil()
-        hi = (period * N - w * i_num).ceil() - 1
-        return range(lo, hi + 1)
-
+    nb = (s_bound(proto) * N).floor()
     points: dict[tuple, SurfacePoint] = {}
     x_pairs = [
         (a, b, gcd(a, b, N))
         for b in range(-nb, nb + 1)
-        for a in rational_range(b, proto.p_low)
+        for a in numerator_window(proto.p_low, N, b)
     ]
     y_pairs = [
         (c, d, gcd(c, d, N))
         for d in range(-nb, nb + 1)
-        for c in rational_range(d, proto.poly_height)
+        for c in numerator_window(proto.p_left, N, d)
     ]
     for a, b, gx in x_pairs:
         for c, d, gy in y_pairs:

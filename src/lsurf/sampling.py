@@ -11,39 +11,35 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .quadfield import QuadNum
 from .surface import (
     InvalidPointError,
     SurfacePoint,
     SurfaceProto,
     is_A_periodic,
     is_B_periodic,
+    numerator_window,
 )
 
 
-def _int_window(low: QuadNum, high: QuadNum, box: int) -> tuple[int, int]:
-    """Integers n with low <= n < high, clipped to [-box, box]."""
-    lo = max(low.ceil(), -box)
-    hi = min(high.ceil() - 1, box)
-    return lo, hi
+def _boxed(window: range, box: int) -> range:
+    return range(max(window.start, -box), min(window.stop, box + 1))
 
 
 def sample_point(
     proto: SurfaceProto, N: int, rng: random.Random, box: int = 10_000
 ) -> SurfacePoint:
     """Uniform-ish point with all numerators over denominator N within the box."""
-    w = proto.w
     for _ in range(10_000):
         b = rng.randint(-box, box)
-        lo, hi = _int_window(-w * b, proto.p_low * N - w * b, box)
-        if lo > hi:
+        window = _boxed(numerator_window(proto.p_low, N, b), box)
+        if not window:
             continue
-        a = rng.randint(lo, hi)
+        a = rng.choice(window)
         d = rng.randint(-box, box)
-        lo2, hi2 = _int_window(-w * d, proto.poly_height * N - w * d, box)
-        if lo2 > hi2:
+        window = _boxed(numerator_window(proto.p_left, N, d), box)
+        if not window:
             continue
-        c = rng.randint(lo2, hi2)
+        c = rng.choice(window)
         try:
             return SurfacePoint.from_fractions(
                 proto, Fraction(a, N), Fraction(b, N), Fraction(c, N), Fraction(d, N)
@@ -80,16 +76,12 @@ def _sample_y_lower(proto: SurfaceProto, N: int, rng: random.Random) -> tuple[Fr
 
 def _sample_x_left_column(proto: SurfaceProto, N: int, rng: random.Random) -> tuple[Fraction, Fraction]:
     """(x_r, x_i) with 0 <= x < 1 (the full-height column)."""
-    w = proto.w
-    bmax = (proto.field.one / w * N).floor() + 1
+    bmax = (proto.field.one / proto.w * N).floor() + 1
     while True:
         b = rng.randint(-bmax, bmax)
-        lo = (-w * b).ceil()
-        hi = (proto.field.from_rational(N) - w * b).ceil() - 1
-        if lo > hi:
-            continue
-        a = rng.randint(lo, hi)
-        return Fraction(a, N), Fraction(b, N)
+        window = numerator_window(proto.field.one, N, b)
+        if window:
+            return Fraction(rng.choice(window), N), Fraction(b, N)
 
 
 def sample_a_periodic_point(
@@ -103,12 +95,12 @@ def sample_a_periodic_point(
     b_periodic=False additionally rejects points periodic under the
     horizontal one; None accepts either.
     """
-    alpha, beta = proto.a_right_cond
+    far = proto.right_width
     for _ in range(10_000):
         if N >= 2 and rng.random() < 0.5:
-            # far cylinder: alpha*x_r + beta*x_i == 1 with x > 1 forces y <= 1
+            # far cylinder: x - 1 a rational multiple of the far width; x > 1 forces y <= 1
             x_i = Fraction(rng.randint(1, N - 1), N)
-            x_r = (1 - beta * x_i) / alpha
+            x_r = 1 + x_i * far.r / far.i
             y_r, y_i = _sample_y_lower(proto, N, rng)
         else:
             # near cylinder: x rational in [0, 1]; any in-polygon y pairs with it
@@ -136,12 +128,12 @@ def sample_b_periodic_point(
     a_periodic: bool | None = False,
 ) -> SurfacePoint:
     """Point periodic under the horizontal generator (mirror of the above)."""
-    alpha, beta = proto.b_upper_cond
+    far = proto.upper_height
     for _ in range(10_000):
         if N >= 2 and rng.random() < 0.5:
-            # upper cylinder: alpha*y_r + beta*y_i == 1 with y > 1 forces x < 1
+            # upper cylinder: y - 1 a rational multiple of its height; y > 1 forces x < 1
             y_i = Fraction(rng.randint(1, N - 1), N)
-            y_r = (1 - beta * y_i) / alpha
+            y_r = 1 + y_i * far.r / far.i
             x_r, x_i = _sample_x_left_column(proto, N, rng)
         else:
             # lower cylinder: y rational in [0, 1]; any in-polygon x pairs with it

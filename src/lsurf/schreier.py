@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import inf
 
 from .surface import (
     SurfacePoint,
@@ -357,22 +358,28 @@ def tree_cheeger_profile(k: int, n_max: int) -> list[Fraction]:
     return out
 
 
-def build_regular_tree_ball(degree: int, radius: int) -> tuple[dict[int, set[int]], int]:
-    """Adjacency of the radius-r ball in the infinite degree-d tree; root 0."""
+def _tree(root_children: int, children: int, depth: int) -> tuple[dict[int, set[int]], dict[int, int]]:
+    """Adjacency and vertex depths of a tree truncated at the given depth:
+    root 0 with root_children children, every other vertex with children."""
     adj: dict[int, set[int]] = {0: set()}
-    next_id = 1
+    depths = {0: 0}
     level = [0]
-    for _ in range(radius):
+    for d in range(depth):
         new_level = []
         for v in level:
-            n_children = degree if v == 0 else degree - 1
-            for _ in range(n_children):
-                adj[next_id] = {v}
-                adj[v].add(next_id)
-                new_level.append(next_id)
-                next_id += 1
+            for _ in range(root_children if v == 0 else children):
+                u = len(adj)
+                adj[u] = {v}
+                adj[v].add(u)
+                depths[u] = d + 1
+                new_level.append(u)
         level = new_level
-    return adj, 0
+    return adj, depths
+
+
+def build_regular_tree_ball(degree: int, radius: int) -> tuple[dict[int, set[int]], int]:
+    """Adjacency of the radius-r ball in the infinite degree-d tree; root 0."""
+    return _tree(degree, degree - 1, radius)[0], 0
 
 
 def build_root_looped_tree(depth: int) -> tuple[dict[int, set[int]], int, dict[int, int]]:
@@ -382,22 +389,28 @@ def build_root_looped_tree(depth: int) -> tuple[dict[int, set[int]], int, dict[i
     The loop is kept out of the adjacency (it never affects boundaries).
     Returns (adjacency, root, depth_of_vertex).
     """
-    adj: dict[int, set[int]] = {0: set()}
-    depths = {0: 0}
-    next_id = 1
-    level = [0]
-    for d in range(depth):
-        new_level = []
-        for v in level:
-            n_children = 2 if v == 0 else 3
-            for _ in range(n_children):
-                adj[next_id] = {v}
-                adj[v].add(next_id)
-                depths[next_id] = d + 1
-                new_level.append(next_id)
-                next_id += 1
-        level = new_level
+    adj, depths = _tree(2, 3, depth)
     return adj, 0, depths
+
+
+def _rooted_costs(child: list[float], n_children: int) -> list[float]:
+    """cost[m] = min boundary count of an m-vertex connected subset rooted at
+    a vertex with n_children children, each child's subtree costing child[.].
+
+    Knapsack over the children: best[s] is the min cost of filling the
+    children taken so far with s vertices in total.  The vertex is interior
+    iff all its children are included.
+    """
+    size = len(child)
+    cost = [inf] * size
+    best = [0] + [inf] * (size - 1)
+    for c in range(n_children + 1):
+        if c:
+            best = [min([child[m] + best[s - m] for m in range(1, s + 1)], default=inf)
+                    for s in range(size)]
+        for m in range(1, size):
+            cost[m] = min(cost[m], (c < n_children) + best[m - 1])
+    return cost
 
 
 def min_cheeger_root_subsets(max_size: int, depth: int) -> Fraction:
@@ -409,57 +422,17 @@ def min_cheeger_root_subsets(max_size: int, depth: int) -> Fraction:
     optimum per size is the minimal count of vertices with a missing child.
     Exhausts the same search space as literal enumeration, exactly.
     """
-    INF = max_size + 10
-
-    # g[lvl][m] = min boundary count of an m-vertex connected subset rooted at
-    # a non-root vertex with lvl more levels available below it
-    g: list[list[int]] = []
-    g0 = [INF] * (max_size + 1)
-    g0[1] = 1  # children exist only beyond the allowed depth
-    g.append(g0)
-    for lvl in range(1, depth + 1):
-        prev = g[lvl - 1]
-        # best[c][s] = min cost of filling c children with total size s
-        best = [[INF] * (max_size + 1) for _ in range(4)]
-        best[0][0] = 0
-        for c in range(1, 4):
-            for s in range(max_size + 1):
-                acc = INF
-                for m in range(1, s + 1):
-                    if prev[m] < INF and best[c - 1][s - m] < INF:
-                        acc = min(acc, prev[m] + best[c - 1][s - m])
-                best[c][s] = acc
-        cur = [INF] * (max_size + 1)
-        for m in range(1, max_size + 1):
-            for c in range(0, 4):
-                sub = best[c][m - 1]
-                if sub >= INF:
-                    continue
-                cur[m] = min(cur[m], (0 if c == 3 else 1) + sub)
-        g.append(cur)
-
+    if max_size < 1 or depth < 0:
+        raise ValueError(
+            f"empty search space: no root subset with max_size={max_size}, depth={depth}"
+        )
+    # a vertex below the allowed depth can never be included
+    child = [inf] * (max_size + 1)
+    for _ in range(depth):
+        child = _rooted_costs(child, 3)
     # root: 2 children (plus a loop, which never contributes boundary)
-    child = g[depth - 1] if depth >= 1 else g[0]
-    best2 = [[INF] * (max_size + 1) for _ in range(3)]
-    best2[0][0] = 0
-    for c in range(1, 3):
-        for s in range(max_size + 1):
-            acc = INF
-            for m in range(1, s + 1):
-                if child[m] < INF and best2[c - 1][s - m] < INF:
-                    acc = min(acc, child[m] + best2[c - 1][s - m])
-            best2[c][s] = acc
-    out = None
-    for m in range(1, max_size + 1):
-        for c in range(0, 3):
-            sub = best2[c][m - 1]
-            if sub >= INF:
-                continue
-            cost = Fraction((0 if c == 2 else 1) + sub, m)
-            if out is None or cost < out:
-                out = cost
-    assert out is not None
-    return out
+    root = _rooted_costs(child, 2)
+    return min(Fraction(root[m], m) for m in range(1, max_size + 1) if root[m] < inf)
 
 
 def enumerate_root_subsets(

@@ -58,8 +58,11 @@ class FiniteGraph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> FiniteGraph:
-        n = len(data["vertices"])
-        edges = [(e["src"], e["dst"]) for e in data["edges"]]
+        try:
+            n = len(data["vertices"])
+            edges = [(e["src"], e["dst"]) for e in data["edges"]]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"graph JSON needs 'vertices' and 'edges' lists: {exc!r}") from exc
         return cls.from_edges(n, edges)
 
     def adjacency(self) -> dict[int, set[int]]:
@@ -81,18 +84,7 @@ class FiniteGraph:
         return max(self.degrees(), default=0)
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        adj = self.adjacency()
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == self.n
+        return self.n == 0 or len(graph_ball(self, 0, self.n)) == self.n
 
 
 def laplacian_apply(G: FiniteGraph, b) -> list:
@@ -173,17 +165,17 @@ def cheeger_min_over_subsets(
     proper_only = support is None
     if len(verts) > cap:
         raise ValueError(f"support of size {len(verts)} exceeds brute-force cap {cap}")
+    largest = len(verts) - 1 if proper_only else len(verts)
+    if largest < 1:
+        kind = "proper subset" if proper_only else "subset"
+        raise ValueError(f"empty search space: no nonempty {kind} of {len(verts)} vertices")
     adj = G.adjacency()
     best: tuple[Fraction, frozenset[int]] | None = None
-    sets = chain.from_iterable(combinations(verts, r) for r in range(1, len(verts) + 1))
-    for tup in sets:
-        if proper_only and len(tup) == G.n:
-            continue
+    for tup in chain.from_iterable(combinations(verts, r) for r in range(1, largest + 1)):
         M = set(tup)
         c = cheeger_of_set(adj, M)
         if best is None or c < best[0]:
             best = (c, frozenset(M))
-    assert best is not None
     return best
 
 

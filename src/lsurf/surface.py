@@ -1,10 +1,13 @@
 """L-shaped genus-2 prototype surfaces and their parabolic generator actions.
 
 A prototype is the L-polygon glued from a lower cylinder ``[0, p_low) x [0, 1]``
-and an upper cylinder ``[0, 1) x (1, H)``; the canonical point of each boundary
-identification is the one with smaller coordinates.  The two parabolic
-generators act per cylinder as exact Dehn twists computed with division with
-remainder in Q(w); no floating point enters any orbit computation.
+and an upper cylinder ``[0, 1) x (1, p_left)``; the canonical point of each
+boundary identification is the one with smaller coordinates.  The two cylinder
+periods ``p_low`` and ``p_left`` determine everything else: each coordinate
+lies in a near cylinder of height 1 or in a far one of height ``p_left - 1``
+(horizontal) or ``p_low - 1`` (vertical).  The two parabolic generators act per
+cylinder as exact Dehn twists computed with division with remainder in Q(w);
+no floating point enters any orbit computation.
 """
 
 from __future__ import annotations
@@ -12,29 +15,28 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import cached_property, lru_cache
+from math import isqrt, lcm
 
-from .quadfield import FieldSpec, QuadNum, parse_quadnum, qmax, reduce_mod
+from .quadfield import FieldSpec, QuadNum, qmax, reduce_mod
 
 
 class InvalidPointError(ValueError):
     """Coordinates outside the canonical polygon, or a singular corner."""
 
 
-def _is_square(n: int) -> bool:
-    from math import isqrt
-
-    return n >= 0 and isqrt(n) ** 2 == n
-
-
 @dataclass(frozen=True, eq=False)
 class SurfaceProto:
-    """Immutable prototype surface L_{D,eps} with all derived constants.
+    """Immutable prototype surface L_{D,eps}, fixed by its two cylinder periods.
 
     ``p_low``/``p_left`` are the circumferences of the lower horizontal and
     the left vertical cylinder; the other two cylinders have circumference 1.
-    B twists by p_low and A by p_left, which fixes both generators' wiring.
+    B twists by p_low and A by p_left.  The polygon is p_left high, and the
+    far cylinders are ``upper_height = p_left - 1`` high and
+    ``right_width = p_low - 1`` wide.  ``coeffs`` = (-conj(p_left),
+    -conj(p_low)) set the growth thresholds: n near-cylinder twists of A move
+    y.i by -n*x.i*coeffs[0] up to less than 1, and those of B move x.i by
+    -n*y.i*coeffs[1].
     """
 
     D: int
@@ -42,19 +44,22 @@ class SurfaceProto:
     field: FieldSpec
     p_low: QuadNum
     p_left: QuadNum
-    upper_height: QuadNum
-    right_width: QuadNum
-    poly_height: QuadNum
-    # linear periodicity conditions alpha*r + beta*i == 1 on the far cylinder
-    a_right_cond: tuple[Fraction, Fraction]
-    b_upper_cond: tuple[Fraction, Fraction]
-    # coefficients of the leading irrational-increment term on the near cylinder
-    a_left_coeff: QuadNum
-    b_lower_coeff: QuadNum
 
     @property
     def w(self) -> QuadNum:
         return self.field.w
+
+    @cached_property
+    def upper_height(self) -> QuadNum:
+        return self.p_left - 1
+
+    @cached_property
+    def right_width(self) -> QuadNum:
+        return self.p_low - 1
+
+    @cached_property
+    def coeffs(self) -> tuple[QuadNum, QuadNum]:
+        return -self.p_left.conjugate(), -self.p_low.conjugate()
 
     @property
     def name(self) -> str:
@@ -74,10 +79,14 @@ class SurfaceProto:
         return f"SurfaceProto({self.name})"
 
 
+# the cylinder periods (p_low - w, p_left - w) per spin eps
+_PERIODS = {0: (1, 0), 1: (1, -1), -1: (0, 0)}
+
+
 @lru_cache(maxsize=None)
 def prototype(D: int, eps: int = 0) -> SurfaceProto:
-    """Build L_D (eps=0) or L_{D,+-1} with exact derived constants."""
-    if D < 5 or D % 4 not in (0, 1) or _is_square(D):
+    """Build L_D (eps=0) or L_{D,+-1} from its two cylinder periods."""
+    if D < 5 or D % 4 not in (0, 1) or isqrt(D) ** 2 == D:
         raise ValueError(f"D={D} must be a non-square integer >= 5, = 0 or 1 mod 4")
     if eps == 0 and D % 4 != 0:
         raise ValueError("eps=0 requires D = 0 mod 4")
@@ -92,56 +101,17 @@ def prototype(D: int, eps: int = 0) -> SurfaceProto:
         fs = FieldSpec(Fraction(D, 4), Fraction(0), label="sqrt(D/4)")
     else:
         fs = FieldSpec(Fraction(D - 1, 4), Fraction(1), label="(1+sqrt(D))/2")
-    w = fs.w
-
-    if eps == 0:
-        proto = SurfaceProto(
-            D=D,
-            eps=0,
-            field=fs,
-            p_low=w + 1,
-            p_left=w,
-            upper_height=w - 1,
-            right_width=w,
-            poly_height=w,
-            a_right_cond=(Fraction(1), Fraction(0)),
-            b_upper_cond=(Fraction(1), Fraction(1)),
-            a_left_coeff=w,
-            b_lower_coeff=w - 1,
-        )
-    elif eps == 1:
-        proto = SurfaceProto(
-            D=D,
-            eps=1,
-            field=fs,
-            p_low=w + 1,
-            p_left=w - 1,
-            upper_height=w - 2,
-            right_width=w,
-            poly_height=w - 1,
-            a_right_cond=(Fraction(1), Fraction(0)),
-            b_upper_cond=(Fraction(1), Fraction(2)),
-            a_left_coeff=w,
-            b_lower_coeff=w - 2,
-        )
-    else:
-        proto = SurfaceProto(
-            D=D,
-            eps=-1,
-            field=fs,
-            p_low=w,
-            p_left=w,
-            upper_height=w - 1,
-            right_width=w - 1,
-            poly_height=w,
-            a_right_cond=(Fraction(1), Fraction(1)),
-            b_upper_cond=(Fraction(1), Fraction(1)),
-            a_left_coeff=w - 1,
-            b_lower_coeff=w - 1,
-        )
+    low, left = (fs.w + c for c in _PERIODS[eps])
+    proto = SurfaceProto(D=D, eps=eps, field=fs, p_low=low, p_left=left)
     if proto.upper_height.sign() <= 0:
         raise ValueError(f"degenerate upper cylinder for D={D}, eps={eps}")
     return proto
+
+
+def numerator_window(period: QuadNum, N: int, i: int) -> range:
+    """Numerators r with r/N + (i/N)*w in [0, period), i.e. -i*w <= r < N*period - i*w."""
+    fs = period.field
+    return range(QuadNum(0, -i, fs).ceil(), QuadNum(N * period.r, N * period.i - i, fs).ceil())
 
 
 _SURFACE_RE = re.compile(r"^L(?P<D>\d+)(?P<eps>[+-]1)?$")
@@ -174,8 +144,8 @@ class SurfacePoint:
             if x.sign() < 0 or (x - proto.p_low).sign() >= 0:
                 raise InvalidPointError(f"x={x} outside [0, {proto.p_low})")
         else:
-            if (y - proto.poly_height).sign() >= 0:
-                raise InvalidPointError(f"y={y} outside [0, {proto.poly_height})")
+            if (y - proto.p_left).sign() >= 0:
+                raise InvalidPointError(f"y={y} outside [0, {proto.p_left})")
             if x.sign() < 0 or (x - 1).sign() >= 0:
                 raise InvalidPointError(f"x={x} outside [0, 1) in the upper cylinder")
         if (x.is_zero() and y.is_zero()) or (x == 1 and y == 1):
@@ -222,12 +192,6 @@ class SurfacePoint:
     def __repr__(self) -> str:
         return f"SurfacePoint({self} on {self.proto.name})"
 
-    def in_lower(self) -> bool:
-        return (self.y - 1).sign() <= 0
-
-    def in_left(self) -> bool:
-        return (self.x - 1).sign() <= 0
-
 
 def parse_point(proto: SurfaceProto, literal: str) -> SurfacePoint:
     """Parse "x_r,x_i,y_r,y_i" with each component a rational like -141 or 1/2."""
@@ -238,32 +202,30 @@ def parse_point(proto: SurfaceProto, literal: str) -> SurfacePoint:
     return SurfacePoint.from_fractions(proto, xr, xi, yr, yi)
 
 
+def _twist(u: QuadNum, v: QuadNum, n: int, period: QuadNum) -> QuadNum:
+    """Coordinate v after n twists of the cylinder that coordinate u lies in.
+
+    In the near cylinder (u <= 1, circumference ``period``) v moves by
+    u*period per twist; in the far one (circumference 1) by (u - 1)*period.
+    """
+    off = u - 1
+    if off.sign() <= 0:
+        return reduce_mod(v + u * period * n, period)[1]
+    return reduce_mod(v + off * period * n, u.field.one)[1]
+
+
 def apply_B(P: SurfacePoint, l: int) -> SurfacePoint:
     """Horizontal parabolic power: twists x within its horizontal cylinder."""
     if l == 0:
         return P
-    proto = P.proto
-    if P.in_lower():
-        val = P.x + P.y * proto.p_low * l
-        _, x_new = reduce_mod(val, proto.p_low)
-    else:
-        val = P.x + (P.y - 1) * proto.p_low * l
-        _, x_new = reduce_mod(val, proto.field.one)
-    return SurfacePoint(x_new, P.y, proto)
+    return SurfacePoint(_twist(P.y, P.x, l, P.proto.p_low), P.y, P.proto)
 
 
 def apply_A(P: SurfacePoint, k: int) -> SurfacePoint:
     """Vertical parabolic power: twists y within its vertical cylinder."""
     if k == 0:
         return P
-    proto = P.proto
-    if P.in_left():
-        val = P.y + P.x * proto.p_left * k
-        _, y_new = reduce_mod(val, proto.p_left)
-    else:
-        val = P.y + (P.x - 1) * proto.p_left * k
-        _, y_new = reduce_mod(val, proto.field.one)
-    return SurfacePoint(P.x, y_new, proto)
+    return SurfacePoint(P.x, _twist(P.x, P.y, k, P.proto.p_left), P.proto)
 
 
 def delta_A(P: SurfacePoint, k: int) -> Fraction:
@@ -276,20 +238,23 @@ def delta_B(P: SurfacePoint, l: int) -> Fraction:
     return apply_B(P, l).x.i - P.x.i
 
 
+def _ratio_is_rational(u: QuadNum, far: QuadNum) -> bool:
+    """Whether coordinate u has a rational splitting ratio: u itself in the
+    near cylinder (u <= 1), (u - 1)/far in the far one."""
+    off = u - 1
+    if off.sign() <= 0:
+        return u.i == 0
+    return off.r * far.i == off.i * far.r
+
+
 def is_B_periodic(P: SurfacePoint) -> bool:
     """Finite orbit under the horizontal parabolic (rational splitting ratio)."""
-    if P.in_lower():
-        return P.y.i == 0
-    a, b = P.proto.b_upper_cond
-    return a * P.y.r + b * P.y.i == 1
+    return _ratio_is_rational(P.y, P.proto.upper_height)
 
 
 def is_A_periodic(P: SurfacePoint) -> bool:
     """Finite orbit under the vertical parabolic (rational splitting ratio)."""
-    if P.in_left():
-        return P.x.i == 0
-    a, b = P.proto.a_right_cond
-    return a * P.x.r + b * P.x.i == 1
+    return _ratio_is_rational(P.x, P.proto.right_width)
 
 
 def splitting_ratio(P: SurfacePoint, direction: str) -> QuadNum:
@@ -298,18 +263,16 @@ def splitting_ratio(P: SurfacePoint, direction: str) -> QuadNum:
     direction "horizontal" uses the cylinders twisted by B, "vertical" the
     ones twisted by A; the boundary y=1 (resp. x=1) counts as the near
     cylinder.  The ratio is rational iff the point is periodic under the
-    corresponding generator.
+    corresponding generator (``_ratio_is_rational``).
     """
-    proto = P.proto
     if direction == "horizontal":
-        if P.in_lower():
-            return P.y
-        return (P.y - 1) / proto.upper_height
-    if direction == "vertical":
-        if P.in_left():
-            return P.x
-        return (P.x - 1) / proto.right_width
-    raise ValueError(f"direction must be 'horizontal' or 'vertical', got {direction!r}")
+        u, far = P.y, P.proto.upper_height
+    elif direction == "vertical":
+        u, far = P.x, P.proto.right_width
+    else:
+        raise ValueError(f"direction must be 'horizontal' or 'vertical', got {direction!r}")
+    off = u - 1
+    return u if off.sign() <= 0 else off / far
 
 
 def s_value(P: SurfacePoint) -> Fraction:
@@ -347,7 +310,7 @@ def thresholds(proto: SurfaceProto, N: int) -> Thresholds:
     if N < 1:
         raise ValueError("N must be >= 1")
     fs = proto.field
-    ca, cb = proto.a_left_coeff, proto.b_lower_coeff
+    ca, cb = proto.coeffs
     far = fs.from_rational(2 * N + 1)
     k0 = qmax(fs.from_rational(3 * N) / ca, far)
     l0 = qmax(fs.from_rational(3 * N) / cb, far)

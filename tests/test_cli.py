@@ -107,3 +107,30 @@ def test_byte_identical_reruns(capsys):
     _, third = run_cli(capsys, "table-cn", "--max", "8")
     _, fourth = run_cli(capsys, "table-cn", "--max", "8")
     assert third == fourth
+
+
+PATH_GRAPH = {
+    "root": 0,
+    "vertices": [{"id": i} for i in range(30)],
+    "edges": [{"src": i, "dst": i + 1} for i in range(29)],
+}
+
+
+@pytest.mark.parametrize(
+    "graph,extra,message",
+    [
+        (PATH_GRAPH, ("--root", "999"), "root 999"),
+        ({"edges": []}, (), "'vertices'"),
+        ([], (), "'vertices'"),
+        (PATH_GRAPH, ("--support-radius", "25", "--sandwich"), "brute-force cap 20"),
+    ],
+    ids=["unknown-root", "no-vertices-key", "not-an-object", "sandwich-over-cap"],
+)
+def test_spectral_input_errors_are_usage_errors(tmp_path, capsys, graph, extra, message):
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(json.dumps(graph))
+    code = main(["spectral", "--graph", str(graph_file), *extra])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert captured.out == ""

@@ -144,3 +144,5 @@ def test_resource_cap():
 
     with pytest.raises(ModNResourceError):
         components(40, max_vertices=10**6)
+    with pytest.raises(ModNResourceError):
+        components(67)  # 67^4 vertices would take about 1.65 GB

@@ -227,11 +227,14 @@ def test_tree_cheeger_profile_other_valency():
 
 def test_min_cheeger_dp_matches_enumeration():
     adj, root, depths = build_root_looped_tree(5)
-    allowed = {v for v, d in depths.items() if d <= 4}
-    best_brute = min(
-        cheeger_of_set(adj, set(S))
-        for S in enumerate_root_subsets(adj, root, allowed, 7)
-    )
-    # DP restricted to the same size cap must agree exactly
-    assert min_cheeger_root_subsets(7, 4) == best_brute
+    for depth in range(5):
+        allowed = {v for v, d in depths.items() if d <= depth}
+        best_brute = min(
+            cheeger_of_set(adj, set(S))
+            for S in enumerate_root_subsets(adj, root, allowed, 7)
+        )
+        # DP restricted to the same size and depth caps must agree exactly
+        assert min_cheeger_root_subsets(7, depth) == best_brute
     assert best_brute == F(2, 3)
+    with pytest.raises(ValueError, match="empty search space"):
+        min_cheeger_root_subsets(0, 3)

@@ -166,6 +166,10 @@ def test_cheeger_min_over_subsets_star():
     c, witness = cheeger_min_over_subsets(G)
     assert c == F(1, 3)  # center plus two leaves
     assert 0 in witness and len(witness) == 3
+    with pytest.raises(ValueError, match="empty search space"):
+        cheeger_min_over_subsets(G, set())
+    with pytest.raises(ValueError, match="empty search space"):
+        cheeger_min_over_subsets(FiniteGraph.from_edges(1, []))
 
 
 # -- graph JSON integration ----------------------------------------------------------

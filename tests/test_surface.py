@@ -26,7 +26,19 @@ from lsurf.surface import (
     thresholds,
 )
 
-ALL_SURFACES = [(8, 0), (5, -1), (17, 1)]
+ALL_SURFACES = [(8, 0), (5, -1), (17, 1), (12, 0), (13, -1), (41, 1)]
+
+# The per-spin constants as they were once written out by hand, each as (r, i)
+# meaning r + i*w; the conditions are (alpha, beta) with alpha*r + beta*i == 1
+# on the far cylinder.
+HAND_WRITTEN = {
+    0: dict(poly_height=(0, 1), upper_height=(-1, 1), right_width=(0, 1),
+            coeffs=((0, 1), (-1, 1)), a_right_cond=(1, 0), b_upper_cond=(1, 1)),
+    1: dict(poly_height=(-1, 1), upper_height=(-2, 1), right_width=(0, 1),
+            coeffs=((0, 1), (-2, 1)), a_right_cond=(1, 0), b_upper_cond=(1, 2)),
+    -1: dict(poly_height=(0, 1), upper_height=(-1, 1), right_width=(-1, 1),
+             coeffs=((-1, 1), (-1, 1)), a_right_cond=(1, 1), b_upper_cond=(1, 1)),
+}
 
 
 def pt(proto, xr, xi, yr, yi):
@@ -53,6 +65,45 @@ def test_surface_selector():
     assert surface("L17+1").eps == 1
     with pytest.raises(ValueError):
         surface("M8")
+
+
+@pytest.mark.parametrize("D,eps", ALL_SURFACES)
+def test_derived_constants_match_hand_written_table(D, eps):
+    proto = prototype(D, eps)
+    old = HAND_WRITTEN[eps]
+    w = proto.w
+
+    def q(ri):
+        return ri[0] + ri[1] * w
+
+    assert proto.p_left == q(old["poly_height"])
+    assert proto.upper_height == q(old["upper_height"])
+    assert proto.right_width == q(old["right_width"])
+    assert proto.coeffs == tuple(q(c) for c in old["coeffs"])
+
+
+@pytest.mark.parametrize("D,eps", ALL_SURFACES)
+def test_far_cylinder_periodicity_matches_hand_written_conditions(D, eps, rng):
+    proto = prototype(D, eps)
+    a_alpha, a_beta = HAND_WRITTEN[eps]["a_right_cond"]
+    b_alpha, b_beta = HAND_WRITTEN[eps]["b_upper_cond"]
+    seen_a, seen_b = set(), set()
+    for _ in range(60):
+        N = rng.randint(2, 6)
+        for P in (
+            sample_point(proto, N, rng, box=60),
+            sample_a_periodic_point(proto, N, rng, b_periodic=None),
+            sample_b_periodic_point(proto, N, rng, a_periodic=None),
+        ):
+            if (P.x - 1).sign() > 0:
+                want = a_alpha * P.x.r + a_beta * P.x.i == 1
+                assert is_A_periodic(P) == want
+                seen_a.add(want)
+            if (P.y - 1).sign() > 0:
+                want = b_alpha * P.y.r + b_beta * P.y.i == 1
+                assert is_B_periodic(P) == want
+                seen_b.add(want)
+    assert seen_a == {True, False} and seen_b == {True, False}
 
 
 def test_generator_matrices(L8, L5m1, L17p1):
@@ -164,7 +215,7 @@ def test_delta_zero_power(L8, rng):
 def test_delta_near_cylinder_remainder_bound(D, eps, rng):
     # near-cylinder closed form: delta = -k * x_i * coeff - r with |r| < 1
     proto = prototype(D, eps)
-    coeff_a, coeff_b = proto.a_left_coeff, proto.b_lower_coeff
+    coeff_a, coeff_b = proto.coeffs
     checked_a = checked_b = 0
     while checked_a < 30 or checked_b < 30:
         P = sample_point(proto, rng.randint(1, 6), rng, box=150)
