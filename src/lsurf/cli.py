@@ -187,7 +187,10 @@ def cmd_spectral(args) -> int:
     if not isinstance(root, int) or not 0 <= root < G.n:
         raise ValueError(f"root {root} is not a vertex id of the {G.n}-vertex graph")
     support = graph_ball(G, root, args.support_radius)
-    mu0 = dirichlet_mu0(G, support)
+    # the brute-force Cheeger minimum raises ValueError beyond 20 vertices,
+    # before the sandwich check spends an eigensolve on mu0
+    report = cheeger_sandwich_check(G, support) if args.sandwich else None
+    mu0 = dirichlet_mu0(G, support) if report is None else report.mu0
     out = {
         "schema": "lsurf-spectral-v1",
         "vertices": G.n,
@@ -196,14 +199,10 @@ def cmd_spectral(args) -> int:
         "max_degree": G.max_degree,
         "dirichlet_mu0": f"{mu0:.12g}",
     }
-    if args.sandwich:
-        # the brute-force Cheeger minimum raises ValueError beyond 20 vertices
-        report = cheeger_sandwich_check(G, support, mu0_value=mu0)
+    if report is not None:
         out["sandwich"] = report.describe()
-        print(json.dumps(out, indent=2))
-        return EXIT_OK if report.ok else EXIT_CHECK_FAILED
     print(json.dumps(out, indent=2))
-    return EXIT_OK
+    return EXIT_OK if report is None or report.ok else EXIT_CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,17 +22,17 @@ from .sampling import (
 from .surface import (
     GeneratorWord,
     SurfaceProto,
-    apply_A,
-    apply_B,
+    apply,
     apply_word,
-    delta_A,
-    delta_B,
-    is_A_periodic,
-    is_B_periodic,
+    axes,
+    is_periodic,
     n_value,
     s_value,
     thresholds,
 )
+
+# exponent letter of each generator: violation key and Thresholds field prefix
+_LETTER = {"A": "k", "B": "l"}
 
 
 @dataclass
@@ -58,62 +58,59 @@ def _exponent_spread(base: int) -> tuple[int, ...]:
     return (base, base + 1, 2 * base + 3)
 
 
+def _s_growth(
+    proto: SurfaceProto, rng: random.Random, samples: int, n_max: int, gen: str, name: str
+) -> SuiteReport:
+    """Periodic under the other generator, not under gen: every power of gen
+    at or beyond its threshold t0 strictly grows s."""
+    letter = _LETTER[gen]
+    sampler = sample_b_periodic_point if gen == "A" else sample_a_periodic_point
+    report = SuiteReport(name, samples)
+    for _ in range(samples):
+        N = rng.randint(1, n_max)
+        P = sampler(proto, N, rng, False)
+        t0 = getattr(thresholds(proto, n_value(P)), letter + "0").ceil()
+        s0 = s_value(P)
+        for n in _exponent_spread(t0):
+            for signed in (n, -n):
+                if not s0 < s_value(apply(P, gen, signed)):
+                    report.violations.append({"point": str(P), letter: signed})
+    return report
+
+
 def check_s_growth_b_on_a_periodic(
     proto: SurfaceProto, rng: random.Random, samples: int, n_max: int = 6
 ) -> SuiteReport:
     """A-periodic, not B-periodic: every |l| >= l0 strictly grows s."""
-    report = SuiteReport("s-growth under B at A-periodic points", samples)
-    for _ in range(samples):
-        N = rng.randint(1, n_max)
-        P = sample_a_periodic_point(proto, N, rng, b_periodic=False)
-        l0 = thresholds(proto, n_value(P)).l0.ceil()
-        s0 = s_value(P)
-        for l in _exponent_spread(l0):
-            for signed in (l, -l):
-                if not s0 < s_value(apply_B(P, signed)):
-                    report.violations.append({"point": str(P), "l": signed})
-    return report
+    return _s_growth(proto, rng, samples, n_max, "B", "s-growth under B at A-periodic points")
 
 
 def check_s_growth_a_on_b_periodic(
     proto: SurfaceProto, rng: random.Random, samples: int, n_max: int = 6
 ) -> SuiteReport:
     """B-periodic, not A-periodic: every |k| >= k0 strictly grows s."""
-    report = SuiteReport("s-growth under A at B-periodic points", samples)
-    for _ in range(samples):
-        N = rng.randint(1, n_max)
-        P = sample_b_periodic_point(proto, N, rng, a_periodic=False)
-        k0 = thresholds(proto, n_value(P)).k0.ceil()
-        s0 = s_value(P)
-        for k in _exponent_spread(k0):
-            for signed in (k, -k):
-                if not s0 < s_value(apply_A(P, signed)):
-                    report.violations.append({"point": str(P), "k": signed})
-    return report
+    return _s_growth(proto, rng, samples, n_max, "A", "s-growth under A at B-periodic points")
 
 
 def check_delta_signs(
     proto: SurfaceProto, rng: random.Random, samples: int, n_max: int = 6
 ) -> SuiteReport:
-    """Opposite nonzero signs of the irrational increments at +-k beyond k0
-    (points not periodic under the acting generator), and mirror for B."""
+    """Opposite nonzero signs of the irrational increments of the moved
+    coordinate at +-n beyond t0, for each generator the point is not periodic
+    under."""
     report = SuiteReport("opposite increment signs beyond the threshold", samples)
     for _ in range(samples):
         N = rng.randint(1, n_max)
         P = sample_point(proto, N, rng, box=200 * N)
         th = thresholds(proto, n_value(P))
-        if not is_A_periodic(P):
-            k = th.k0.floor() + 1
-            for kk in _exponent_spread(k):
-                sp, sm = _sgn(delta_A(P, kk)), _sgn(delta_A(P, -kk))
+        for gen, letter in _LETTER.items():
+            if is_periodic(P, gen):
+                continue
+            before = axes(P, gen)[1].i
+            for n in _exponent_spread(getattr(th, letter + "0").floor() + 1):
+                sp, sm = (_sgn(axes(apply(P, gen, e), gen)[1].i - before) for e in (n, -n))
                 if sp == 0 or sm == 0 or sp == sm:
-                    report.violations.append({"point": str(P), "k": kk, "signs": (sp, sm)})
-        if not is_B_periodic(P):
-            l = th.l0.floor() + 1
-            for ll in _exponent_spread(l):
-                sp, sm = _sgn(delta_B(P, ll)), _sgn(delta_B(P, -ll))
-                if sp == 0 or sm == 0 or sp == sm:
-                    report.violations.append({"point": str(P), "l": ll, "signs": (sp, sm)})
+                    report.violations.append({"point": str(P), letter: n, "signs": (sp, sm)})
     return report
 
 
@@ -132,14 +129,7 @@ def check_three_of_four(
             k = th.k1.floor() + bump
             l = th.l1.floor() + bump
             grown = sum(
-                1
-                for Q in (
-                    apply_A(P, k),
-                    apply_A(P, -k),
-                    apply_B(P, l),
-                    apply_B(P, -l),
-                )
-                if s0 < s_value(Q)
+                s0 < s_value(apply(P, gen, e)) for gen, n in (("A", k), ("B", l)) for e in (n, -n)
             )
             if grown < 3:
                 report.violations.append({"point": str(P), "k": k, "l": l, "grown": grown})
@@ -155,10 +145,9 @@ def check_action_additivity(
         N = rng.randint(1, n_max)
         P = sample_point(proto, N, rng, box=500)
         k1, k2 = rng.randint(-15, 15), rng.randint(-15, 15)
-        if apply_A(apply_A(P, k1), k2) != apply_A(P, k1 + k2):
-            report.violations.append({"point": str(P), "gen": "A", "k": (k1, k2)})
-        if apply_B(apply_B(P, k1), k2) != apply_B(P, k1 + k2):
-            report.violations.append({"point": str(P), "gen": "B", "l": (k1, k2)})
+        for gen, letter in _LETTER.items():
+            if apply(apply(P, gen, k1), gen, k2) != apply(P, gen, k1 + k2):
+                report.violations.append({"point": str(P), "gen": gen, letter: (k1, k2)})
     return report
 
 
@@ -172,8 +161,7 @@ def check_projection_equivariance(
         N = rng.randint(1, n_max)
         P = sample_point(proto, N, rng, box=400 * N)
         g, e, name = gens[rng.randrange(4)]
-        moved = apply_A(P, e) if g == "A" else apply_B(P, e)
-        if project(moved) != act(project(P), name, proto):
+        if project(apply(P, g, e)) != act(project(P), name, proto):
             report.violations.append({"point": str(P), "gen": name})
     return report
 

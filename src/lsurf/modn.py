@@ -129,8 +129,16 @@ def _valid_mask(N: int) -> np.ndarray:
     return np.gcd(np.gcd(np.gcd(a, b), np.gcd(c, d)), N) == 1
 
 
+_MAX_VERTICES = 2 * 10**7
+
+
+def _check_cap(N: int, max_vertices: int) -> None:
+    if N**4 > max_vertices:
+        raise ModNResourceError(f"{N}^4 = {N**4} vertices exceeds cap {max_vertices}")
+
+
 def components(
-    N: int, proto: SurfaceProto | None = None, max_vertices: int = 2 * 10**7
+    N: int, proto: SurfaceProto | None = None, max_vertices: int = _MAX_VERTICES
 ) -> tuple[int, list[ModNVec]]:
     """Connected components of the mod-N graph under both generators.
 
@@ -143,8 +151,7 @@ def components(
     proto = proto if proto is not None else _L8
     if N < 1:
         raise ValueError("N must be >= 1")
-    if N**4 > max_vertices:
-        raise ModNResourceError(f"{N}^4 = {N**4} vertices exceeds cap {max_vertices}")
+    _check_cap(N, max_vertices)
     if N == 1:
         return 1, [ModNVec(1, 0, 0, 0, 0)]
     labels = component_labels(N, proto)
@@ -220,7 +227,9 @@ def components_unionfind(N: int, proto: SurfaceProto | None = None) -> int:
 def component_table(
     n_max: int, proto: SurfaceProto | None = None
 ) -> list[tuple[int, int]]:
-    """(N, C(N)) for N = 1..n_max."""
+    """(N, C(N)) for N = 1..n_max; the vertex cap of ``components`` is
+    checked for n_max before any N is computed."""
+    _check_cap(n_max, _MAX_VERTICES)
     return [(N, components(N, proto)[0]) for N in range(1, n_max + 1)]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 Rational = Fraction
@@ -71,15 +72,16 @@ class FieldSpec:
     def from_rational(self, x: Fraction | int) -> QuadNum:
         return QuadNum(Fraction(x), Fraction(0), self)
 
-    @property
+    # built once per field: hot paths read these on every step
+    @cached_property
     def zero(self) -> QuadNum:
         return self.from_rational(0)
 
-    @property
+    @cached_property
     def one(self) -> QuadNum:
         return self.from_rational(1)
 
-    @property
+    @cached_property
     def w(self) -> QuadNum:
         return QuadNum(Fraction(0), Fraction(1), self)
 

@@ -24,9 +24,11 @@ from .surface import (
     InvalidPointError,
     SurfacePoint,
     SurfaceProto,
+    apply,
     apply_A,
     apply_B,
     apply_word,
+    axes,
     is_A_periodic,
     is_B_periodic,
     numerator_window,
@@ -79,12 +81,14 @@ def reduce_point(
 ) -> ReduceResult:
     """Drive P into S, returning the certificate word (application order).
 
-    Case order per iteration: B-periodic, A-periodic, |x_i| < |y_i| (shrink
-    |y_i| with a vertical power), else shrink |x_i| with a horizontal power.
-    Exponent sign ties resolve toward the positive exponent.
+    Case order per iteration: B-periodic, A-periodic, then one shrink step:
+    gen = A if |x_i| < |y_i| (shrink |y_i|), else B (shrink |x_i|).  With u
+    the coordinate whose cylinder gen twists, the exponent is
+    ceil(1/(|u_i| * coeffs[gen])) when u < 1 and 1 otherwise; of +-n the one
+    leaving the smaller moved irrational part wins, ties toward +n.
     """
     _require_l8(P)
-    w = P.proto.w
+    coeff = dict(zip("AB", P.proto.coeffs))
     letters: list[tuple[str, int]] = []
     trace: list[tuple[int, int | None]] = []
     cur = P
@@ -111,30 +115,17 @@ def reduce_point(
             cur = apply_B(apply_A(apply_B(cur, 1), -1), -1)
             letters += [("B", 1), ("A", -1), ("B", -1)]
             trace.append((CASE_A_PERIODIC, None))
-        elif abs(cur.x.i) < abs(cur.y.i):
-            if (cur.x - 1).sign() < 0:
-                k = (1 / (abs(cur.x.i) * w)).ceil()
-            else:
-                k = 1
-            plus, minus = apply_A(cur, k), apply_A(cur, -k)
-            if abs(plus.y.i) <= abs(minus.y.i):
-                cur, e = plus, k
-            else:
-                cur, e = minus, -k
-            letters.append(("A", e))
-            trace.append((CASE_SHRINK_Y, e))
         else:
-            if (cur.y - 1).sign() < 0:
-                l = (1 / (abs(cur.y.i) * (w - 1))).ceil()
+            gen = "A" if abs(cur.x.i) < abs(cur.y.i) else "B"
+            u = axes(cur, gen)[0]
+            n = (1 / (abs(u.i) * coeff[gen])).ceil() if (u - 1).sign() < 0 else 1
+            plus, minus = apply(cur, gen, n), apply(cur, gen, -n)
+            if abs(axes(plus, gen)[1].i) <= abs(axes(minus, gen)[1].i):
+                cur, e = plus, n
             else:
-                l = 1
-            plus, minus = apply_B(cur, l), apply_B(cur, -l)
-            if abs(plus.x.i) <= abs(minus.x.i):
-                cur, e = plus, l
-            else:
-                cur, e = minus, -l
-            letters.append(("B", e))
-            trace.append((CASE_SHRINK_X, e))
+                cur, e = minus, -n
+            letters.append((gen, e))
+            trace.append((CASE_SHRINK_Y if gen == "A" else CASE_SHRINK_X, e))
 
     word = GeneratorWord(letters)
     if check and apply_word(P, word) != cur:
@@ -239,8 +230,7 @@ def orbit_class_bracket(
     uf = _UnionFind(len(vertices))
     for i, point in enumerate(vertices):
         for gen, exp in (("A", 1), ("A", -1), ("B", 1), ("B", -1)):
-            moved = apply_A(point, exp) if gen == "A" else apply_B(point, exp)
-            out = reduce_point(moved).output
+            out = reduce_point(apply(point, gen, exp)).output
             j = index.get(out.key)
             if j is None:
                 raise AssertionError(f"reduction left the enumerated set: {out}")

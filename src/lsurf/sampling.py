@@ -15,8 +15,10 @@ from .surface import (
     InvalidPointError,
     SurfacePoint,
     SurfaceProto,
+    axes,
     is_A_periodic,
     is_B_periodic,
+    is_periodic,
     numerator_window,
 )
 
@@ -60,28 +62,48 @@ def sample_nonperiodic_point(
     raise RuntimeError("could not sample a doubly non-periodic point")
 
 
-def _sample_y_lower(proto: SurfaceProto, N: int, rng: random.Random) -> tuple[Fraction, Fraction]:
-    """(y_r, y_i) with 0 <= y <= 1 (the full-width strip)."""
-    w = proto.w
-    dmax = (proto.field.one / w * N).floor() + 1
+def _sample_unit(proto: SurfaceProto, N: int, rng: random.Random, closed: bool) -> tuple[Fraction, Fraction]:
+    """(r, i) of a coordinate in [0, 1], or in [0, 1) unless closed.  The two
+    windows differ only at i = 0, the one case where the endpoint N/N is a
+    numerator."""
+    fs = proto.field
+    imax = (fs.one / fs.w * N).floor() + 1
     while True:
-        d = rng.randint(-dmax, dmax)
-        lo = (-w * d).ceil()
-        hi = (proto.field.from_rational(N) - w * d).floor()  # y = 1 allowed
-        if lo > hi:
-            continue
-        c = rng.randint(lo, hi)
-        return Fraction(c, N), Fraction(d, N)
-
-
-def _sample_x_left_column(proto: SurfaceProto, N: int, rng: random.Random) -> tuple[Fraction, Fraction]:
-    """(x_r, x_i) with 0 <= x < 1 (the full-height column)."""
-    bmax = (proto.field.one / proto.w * N).floor() + 1
-    while True:
-        b = rng.randint(-bmax, bmax)
-        window = numerator_window(proto.field.one, N, b)
+        i = rng.randint(-imax, imax)
+        window = range(N + 1) if closed and i == 0 else numerator_window(fs.one, N, i)
         if window:
-            return Fraction(rng.choice(window), N), Fraction(b, N)
+            return Fraction(rng.choice(window), N), Fraction(i, N)
+
+
+def _sample_periodic(
+    proto: SurfaceProto, N: int, rng: random.Random, gen: str, other_periodic: bool | None
+) -> SurfacePoint:
+    """Point periodic under gen; other_periodic=False rejects points periodic
+    under the other generator too, True requires them to be, None accepts
+    either."""
+    other = "B" if gen == "A" else "A"
+    far = proto.far(gen)
+    for _ in range(10_000):
+        if N >= 2 and rng.random() < 0.5:
+            # far cylinder: u - 1 a rational multiple of the far size.  u > 1
+            # puts v in the unit interval of the other coordinate's near
+            # cylinder: [0, 1] for y (y = 1 is glued to y = 0), [0, 1) for x
+            u_i = Fraction(rng.randint(1, N - 1), N)
+            u = (1 + u_i * far.r / far.i, u_i)
+            v = _sample_unit(proto, N, rng, closed=gen == "A")
+        else:
+            # near cylinder: u rational in [0, 1]; any in-polygon v pairs with it
+            u = (Fraction(rng.randint(0, N), N), Fraction(0))
+            donor = axes(sample_point(proto, N, rng, box=3 * N + 10), gen)[1]
+            v = (donor.r, donor.i)
+        x, y = (u, v) if gen == "A" else (v, u)
+        try:
+            P = SurfacePoint.from_fractions(proto, *x, *y)
+        except InvalidPointError:
+            continue
+        if is_periodic(P, gen) and other_periodic in (None, is_periodic(P, other)):
+            return P
+    raise RuntimeError(f"could not sample a point periodic under {gen}")
 
 
 def sample_a_periodic_point(
@@ -95,30 +117,7 @@ def sample_a_periodic_point(
     b_periodic=False additionally rejects points periodic under the
     horizontal one; None accepts either.
     """
-    far = proto.right_width
-    for _ in range(10_000):
-        if N >= 2 and rng.random() < 0.5:
-            # far cylinder: x - 1 a rational multiple of the far width; x > 1 forces y <= 1
-            x_i = Fraction(rng.randint(1, N - 1), N)
-            x_r = 1 + x_i * far.r / far.i
-            y_r, y_i = _sample_y_lower(proto, N, rng)
-        else:
-            # near cylinder: x rational in [0, 1]; any in-polygon y pairs with it
-            x_r, x_i = Fraction(rng.randint(0, N), N), Fraction(0)
-            donor = sample_point(proto, N, rng, box=3 * N + 10)
-            y_r, y_i = donor.y.r, donor.y.i
-        try:
-            P = SurfacePoint.from_fractions(proto, x_r, x_i, y_r, y_i)
-        except InvalidPointError:
-            continue
-        if not is_A_periodic(P):
-            continue
-        if b_periodic is False and is_B_periodic(P):
-            continue
-        if b_periodic is True and not is_B_periodic(P):
-            continue
-        return P
-    raise RuntimeError("could not sample an A-periodic point")
+    return _sample_periodic(proto, N, rng, "A", b_periodic)
 
 
 def sample_b_periodic_point(
@@ -127,28 +126,5 @@ def sample_b_periodic_point(
     rng: random.Random,
     a_periodic: bool | None = False,
 ) -> SurfacePoint:
-    """Point periodic under the horizontal generator (mirror of the above)."""
-    far = proto.upper_height
-    for _ in range(10_000):
-        if N >= 2 and rng.random() < 0.5:
-            # upper cylinder: y - 1 a rational multiple of its height; y > 1 forces x < 1
-            y_i = Fraction(rng.randint(1, N - 1), N)
-            y_r = 1 + y_i * far.r / far.i
-            x_r, x_i = _sample_x_left_column(proto, N, rng)
-        else:
-            # lower cylinder: y rational in [0, 1]; any in-polygon x pairs with it
-            y_r, y_i = Fraction(rng.randint(0, N), N), Fraction(0)
-            donor = sample_point(proto, N, rng, box=3 * N + 10)
-            x_r, x_i = donor.x.r, donor.x.i
-        try:
-            P = SurfacePoint.from_fractions(proto, x_r, x_i, y_r, y_i)
-        except InvalidPointError:
-            continue
-        if not is_B_periodic(P):
-            continue
-        if a_periodic is False and is_A_periodic(P):
-            continue
-        if a_periodic is True and not is_A_periodic(P):
-            continue
-        return P
-    raise RuntimeError("could not sample a B-periodic point")
+    """Point periodic under the horizontal generator; a_periodic as above."""
+    return _sample_periodic(proto, N, rng, "B", a_periodic)

@@ -17,10 +17,10 @@ from math import inf
 from .surface import (
     SurfacePoint,
     SurfaceProto,
-    apply_A,
-    apply_B,
+    apply,
     is_A_periodic,
     is_B_periodic,
+    is_periodic,
     n_value,
     s_value,
     thresholds,
@@ -40,11 +40,6 @@ class ResourceCapError(RuntimeError):
     def __init__(self, message: str, partial: "OrbitGraph" | None = None) -> None:
         super().__init__(message)
         self.partial = partial
-
-
-def _apply(P: SurfacePoint, gen: GenPower) -> SurfacePoint:
-    g, e = gen
-    return apply_A(P, e) if g == "A" else apply_B(P, e)
 
 
 def _gen_order(gens: list[GenPower] | tuple[GenPower, ...]) -> tuple[GenPower, ...]:
@@ -149,7 +144,7 @@ def _bfs(ball: OrbitGraph, P: SurfacePoint, radius: int, max_vertices: int) -> O
             continue
         point = ball.points[key]
         for gen in ball.gens:
-            img = _apply(point, gen)
+            img = apply(point, *gen)
             if ball.g2 and _jointly_periodic(img):
                 # cannot happen unless the start itself were pruned: a pruned
                 # point is fixed by these powers, and the powers are invertible
@@ -192,7 +187,7 @@ def find_non_excluded_start(P: SurfacePoint, search_radius: int = 4) -> SurfaceP
         nxt = []
         for Q in layer:
             for gen in (("A", 1), ("A", -1), ("B", 1), ("B", -1)):
-                img = _apply(Q, gen)
+                img = apply(Q, *gen)
                 if img.key in seen:
                     continue
                 seen.add(img.key)
@@ -240,12 +235,8 @@ class ComponentShape:
 
 def _expected_loop(point: SurfacePoint) -> str | None:
     """Generator whose chosen power fixes the point, if exactly one does."""
-    a, b = is_A_periodic(point), is_B_periodic(point)
-    if a and not b:
-        return "A"
-    if b and not a:
-        return "B"
-    return None
+    periodic = [gen for gen in "AB" if is_periodic(point, gen)]
+    return periodic[0] if len(periodic) == 1 else None
 
 
 def classify_component(ball: OrbitGraph) -> ComponentShape:

@@ -8,6 +8,13 @@ lies in a near cylinder of height 1 or in a far one of height ``p_left - 1``
 (horizontal) or ``p_low - 1`` (vertical).  The two parabolic generators act per
 cylinder as exact Dehn twists computed with division with remainder in Q(w);
 no floating point enters any orbit computation.
+
+The generators mirror each other; code written once for both reads its side
+through ``axes``, ``apply``, ``is_periodic`` and ``SurfaceProto.far``:
+
+    gen  cylinder  moved  period  far size                   coeffs  exponent
+    A    x         y      p_left  right_width = p_low - 1    [0]     k
+    B    y         x      p_low   upper_height = p_left - 1  [1]     l
 """
 
 from __future__ import annotations
@@ -60,6 +67,10 @@ class SurfaceProto:
     @cached_property
     def coeffs(self) -> tuple[QuadNum, QuadNum]:
         return -self.p_left.conjugate(), -self.p_low.conjugate()
+
+    def far(self, gen: str) -> QuadNum:
+        """Size of the far cylinder of the coordinate whose cylinder gen twists."""
+        return self.right_width if gen == "A" else self.upper_height
 
     @property
     def name(self) -> str:
@@ -198,7 +209,10 @@ def parse_point(proto: SurfaceProto, literal: str) -> SurfacePoint:
     parts = [p.strip() for p in literal.split(",")]
     if len(parts) != 4:
         raise ValueError(f"point literal needs 4 comma-separated rationals: {literal!r}")
-    xr, xi, yr, yi = (Fraction(p) for p in parts)
+    try:
+        xr, xi, yr, yi = (Fraction(p) for p in parts)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in point literal {literal!r}") from None
     return SurfacePoint.from_fractions(proto, xr, xi, yr, yi)
 
 
@@ -228,6 +242,17 @@ def apply_A(P: SurfacePoint, k: int) -> SurfacePoint:
     return SurfacePoint(P.x, _twist(P.x, P.y, k, P.proto.p_left), P.proto)
 
 
+def apply(P: SurfacePoint, gen: str, n: int) -> SurfacePoint:
+    """The n-th power of the generator named gen ("A" or "B") applied to P."""
+    # module globals looked up per call, so a wrapped apply_A/apply_B sees it
+    return (apply_A if gen == "A" else apply_B)(P, n)
+
+
+def axes(P: SurfacePoint, gen: str) -> tuple[QuadNum, QuadNum]:
+    """(u, v): the coordinate whose cylinder gen twists and the one gen moves."""
+    return (P.x, P.y) if gen == "A" else (P.y, P.x)
+
+
 def delta_A(P: SurfacePoint, k: int) -> Fraction:
     """Exact increment of the irrational part of y under the k-th vertical power."""
     return apply_A(P, k).y.i - P.y.i
@@ -238,23 +263,26 @@ def delta_B(P: SurfacePoint, l: int) -> Fraction:
     return apply_B(P, l).x.i - P.x.i
 
 
-def _ratio_is_rational(u: QuadNum, far: QuadNum) -> bool:
-    """Whether coordinate u has a rational splitting ratio: u itself in the
-    near cylinder (u <= 1), (u - 1)/far in the far one."""
+def is_periodic(P: SurfacePoint, gen: str) -> bool:
+    """Finite orbit under gen: the twisted coordinate u has a rational
+    splitting ratio, u itself in the near cylinder (u <= 1), (u - 1)/far in
+    the far one."""
+    u = axes(P, gen)[0]
     off = u - 1
     if off.sign() <= 0:
         return u.i == 0
+    far = P.proto.far(gen)
     return off.r * far.i == off.i * far.r
 
 
 def is_B_periodic(P: SurfacePoint) -> bool:
     """Finite orbit under the horizontal parabolic (rational splitting ratio)."""
-    return _ratio_is_rational(P.y, P.proto.upper_height)
+    return is_periodic(P, "B")
 
 
 def is_A_periodic(P: SurfacePoint) -> bool:
     """Finite orbit under the vertical parabolic (rational splitting ratio)."""
-    return _ratio_is_rational(P.x, P.proto.right_width)
+    return is_periodic(P, "A")
 
 
 def splitting_ratio(P: SurfacePoint, direction: str) -> QuadNum:
@@ -263,16 +291,14 @@ def splitting_ratio(P: SurfacePoint, direction: str) -> QuadNum:
     direction "horizontal" uses the cylinders twisted by B, "vertical" the
     ones twisted by A; the boundary y=1 (resp. x=1) counts as the near
     cylinder.  The ratio is rational iff the point is periodic under the
-    corresponding generator (``_ratio_is_rational``).
+    corresponding generator (``is_periodic``).
     """
-    if direction == "horizontal":
-        u, far = P.y, P.proto.upper_height
-    elif direction == "vertical":
-        u, far = P.x, P.proto.right_width
-    else:
+    gen = {"horizontal": "B", "vertical": "A"}.get(direction)
+    if gen is None:
         raise ValueError(f"direction must be 'horizontal' or 'vertical', got {direction!r}")
+    u = axes(P, gen)[0]
     off = u - 1
-    return u if off.sign() <= 0 else off / far
+    return u if off.sign() <= 0 else off / P.proto.far(gen)
 
 
 def s_value(P: SurfacePoint) -> Fraction:
@@ -310,14 +336,14 @@ def thresholds(proto: SurfaceProto, N: int) -> Thresholds:
     if N < 1:
         raise ValueError("N must be >= 1")
     fs = proto.field
-    ca, cb = proto.coeffs
-    far = fs.from_rational(2 * N + 1)
-    k0 = qmax(fs.from_rational(3 * N) / ca, far)
-    l0 = qmax(fs.from_rational(3 * N) / cb, far)
-    k1 = qmax(fs.from_rational(2 + N) / ca, k0, fs.from_rational(2 * (N + 1)) / ca)
-    l1 = qmax(fs.from_rational(2 + N) / cb, l0, fs.from_rational(2 * (N + 1)) / cb)
-    k = N * ((k1 / N).floor() + 1)
-    l = N * ((l1 / N).floor() + 1)
+
+    def bounds(c: QuadNum) -> tuple[QuadNum, QuadNum, int]:
+        # c > 0 on every prototype, so 2(N + 1)/c also bounds (2 + N)/c
+        t0 = qmax(fs.from_rational(3 * N) / c, fs.from_rational(2 * N + 1))
+        t1 = qmax(t0, fs.from_rational(2 * (N + 1)) / c)
+        return t0, t1, N * ((t1 / N).floor() + 1)
+
+    (k0, k1, k), (l0, l1, l) = (bounds(c) for c in proto.coeffs)
     return Thresholds(k0=k0, l0=l0, k1=k1, l1=l1, k=k, l=l)
 
 
@@ -394,5 +420,5 @@ def parse_word(text: str) -> GeneratorWord:
 def apply_word(P: SurfacePoint, word: GeneratorWord) -> SurfacePoint:
     """Apply the word letters left to right (application order)."""
     for gen, exp in word.letters:
-        P = apply_A(P, exp) if gen == "A" else apply_B(P, exp)
+        P = apply(P, gen, exp)
     return P

@@ -100,6 +100,14 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["reduce", "explore", "classify"])
+def test_zero_denominator_point_is_usage_error(capsys, command):
+    code = main([command, "--point", "1/0,0,1/2,0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "zero denominator" in captured.err
+
+
 def test_byte_identical_reruns(capsys):
     _, first = run_cli(capsys, "verify-lemmas", "--seed", "3", "--samples", "10")
     _, second = run_cli(capsys, "verify-lemmas", "--seed", "3", "--samples", "10")
@@ -126,7 +134,13 @@ PATH_GRAPH = {
     ],
     ids=["unknown-root", "no-vertices-key", "not-an-object", "sandwich-over-cap"],
 )
-def test_spectral_input_errors_are_usage_errors(tmp_path, capsys, graph, extra, message):
+def test_spectral_input_errors_are_usage_errors(
+    tmp_path, capsys, monkeypatch, graph, extra, message
+):
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve ran before the input was rejected")
+
+    monkeypatch.setattr("lsurf.cli.dirichlet_mu0", no_eigensolve)
     graph_file = tmp_path / "graph.json"
     graph_file.write_text(json.dumps(graph))
     code = main(["spectral", "--graph", str(graph_file), *extra])

@@ -146,3 +146,14 @@ def test_resource_cap():
         components(40, max_vertices=10**6)
     with pytest.raises(ModNResourceError):
         components(67)  # 67^4 vertices would take about 1.65 GB
+
+
+def test_component_table_checks_cap_before_computing(monkeypatch):
+    from lsurf import modn
+
+    def refuse(N, proto):
+        raise AssertionError(f"component_table computed C({N}) before checking the cap")
+
+    monkeypatch.setattr(modn, "component_labels", refuse)
+    with pytest.raises(modn.ModNResourceError):
+        component_table(67)

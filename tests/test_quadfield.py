@@ -59,6 +59,7 @@ def test_golden_ratio_defining_relation():
     one = GOLDEN.one
     w = GOLDEN.w
     assert (one + w) * (w - 1) == w  # w^2 - 1 = w
+    assert GOLDEN.w is GOLDEN.w and GOLDEN.one is GOLDEN.one  # built once per field
 
 
 def test_rational_values_hash_like_rationals():

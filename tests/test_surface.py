@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction as F
 
@@ -9,6 +10,7 @@ from lsurf.surface import (
     GeneratorWord,
     InvalidPointError,
     SurfacePoint,
+    apply,
     apply_A,
     apply_B,
     apply_word,
@@ -188,6 +190,19 @@ def test_action_additivity(L8, L5m1, L17p1, rng):
             assert apply_B(apply_B(P, k1), k2) == apply_B(P, k1 + k2)
 
 
+def test_apply_dispatches_through_module_names(L8, monkeypatch):
+    # apply and apply_word must reach apply_A/apply_B through the module's
+    # current names, so that a wrapper installed there sees every step
+    module = importlib.import_module("lsurf.surface")
+    seen = []
+    for gen in "AB":
+        monkeypatch.setattr(module, f"apply_{gen}", lambda P, n, g=gen: seen.append((g, n)) or P)
+    P = pt(L8, F(1, 3), F(1, 3), F(1, 2), 0)
+    assert apply(P, "A", 3) is P and apply(P, "B", -2) is P
+    assert apply_word(P, GeneratorWord([("B", 1), ("A", 4)])) is P
+    assert seen == [("A", 3), ("B", -2), ("B", 1), ("A", 4)]
+
+
 def test_composition_oracle_for_double_step(L8):
     P = pt(L8, 0, 0, F(3, 4), F(1, 4))
     assert apply_B(apply_B(P, 1), 1) == apply_B(P, 2)
@@ -295,6 +310,20 @@ def test_thresholds_L8_N1(L8):
     w = L8.w
     assert th.l1 == (w + 1) * 4  # 2(N+1)/(w-1) with 1/(w-1) = w+1
     assert th.l == 10
+
+
+def test_threshold_coefficients_are_positive():
+    # thresholds() bounds k1, l1 by 2(N + 1)/c alone: it covers (2 + N)/c only for c > 0
+    protos = []
+    for D in range(5, 400):
+        for eps in (0, 1, -1):
+            try:
+                protos.append(prototype(D, eps))
+            except ValueError:
+                pass
+    assert len(protos) == 220
+    for proto in protos:
+        assert all(c.sign() > 0 for c in proto.coeffs), proto.name
 
 
 def test_thresholds_multiple_of_n(L8, L5m1, L17p1):
