@@ -4,7 +4,7 @@ Coordinates live in a real quadratic field and every orbit computation is
 exact; floating point appears only in eigenvalue estimates and sanity shadows.
 """
 
-from .quadfield import FieldSpec, QuadNum, Rational, parse_quadnum, reduce_mod
+from .quadfield import FieldSpec, QuadNum, parse_quadnum, reduce_mod
 from .surface import (
     GeneratorWord,
     InvalidPointError,
@@ -38,13 +38,6 @@ from .schreier import (
     expand_ball,
     tree_cheeger_profile,
 )
-from .spectral import (
-    FiniteGraph,
-    cheeger_sandwich_check,
-    dirichlet_mu0,
-    laplacian_apply,
-    quadratic_form,
-    rayleigh,
-)
+from .spectral import FiniteGraph, cheeger_sandwich_check, dirichlet_mu0
 
 __version__ = "0.1.0"

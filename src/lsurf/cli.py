@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -37,7 +38,7 @@ from .spectral import (
     dirichlet_mu0,
     graph_ball,
 )
-from .surface import parse_point, prototype, surface
+from .surface import InternalError, parse_point, prototype, surface
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -301,7 +302,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_merge_point_flag(sys.argv[1:] if argv is None else list(argv)))
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left early: exit quietly, and flush into devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except (ModNResourceError, ResourceCapError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

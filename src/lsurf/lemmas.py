@@ -106,9 +106,9 @@ def check_delta_signs(
         for gen, letter in _LETTER.items():
             if is_periodic(P, gen):
                 continue
-            before = axes(P, gen)[1].i
+            before = axes(P, gen)[1][1]  # numerators over the invariant N
             for n in _exponent_spread(getattr(th, letter + "0").floor() + 1):
-                sp, sm = (_sgn(axes(apply(P, gen, e), gen)[1].i - before) for e in (n, -n))
+                sp, sm = (_sgn(axes(apply(P, gen, e), gen)[1][1] - before) for e in (n, -n))
                 if sp == 0 or sm == 0 or sp == sm:
                     report.violations.append({"point": str(P), letter: n, "signs": (sp, sm)})
     return report

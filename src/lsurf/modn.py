@@ -1,27 +1,23 @@
 """Residue-vector orbit graph: the finite shadow of the generator action mod N.
 
-Connection points with least common denominator N project to numerator
-vectors [a, b, c, d] in (Z/N)^4 with gcd(a, b, c, d, N) = 1; both generators
-descend to invertible affine-free linear maps on these vectors.  The wiring
-comes from the cylinder periods alone: mod N a power of A adds x*p_left to y
-and a power of B adds y*p_low to x, since the reductions modulo a period (or
-modulo 1) subtract integer multiples of it, which vanish mod N.  Expanding
-those products over the basis 1, w with w^2 = e + f*w gives each generator's
-integer block (``_twists``).  The number of connected components C(N) of the
-resulting graph bounds the orbit count from below.  Components are computed
-twice: a vectorized label-propagation pass (fast path) and an independent
-union-find pass (cross-check).
+A connection point (N; a, b, c, d) projects to its numerators [a, b, c, d]
+in (Z/N)^4, with gcd(a, b, c, d, N) = 1.  Mod N a power of A adds x*p_left
+to y and a power of B adds y*p_low to x: the reductions modulo a period (or
+modulo 1) subtract integer multiples of it, which vanish mod N.  So each
+generator acts through the integer block of the exact action,
+``SurfaceProto.wiring[gen].block`` (in ``lsurf.surface``), reduced mod N.
+The number of connected components C(N) of the resulting graph, found by
+vectorized label propagation, bounds the orbit count from below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 import numpy as np
 
-from .surface import SurfaceProto, SurfacePoint, n_value, prototype
+from .surface import Block, SurfaceProto, SurfacePoint, prototype, shear
 
 
 class ModNResourceError(RuntimeError):
@@ -55,31 +51,12 @@ class ModNVec:
         return f"[{self.a},{self.b},{self.c},{self.d}] mod {self.N}"
 
 
-Block = tuple[tuple[int, int], tuple[int, int]]
-
-
-@lru_cache(maxsize=None)
-def _twists(proto: SurfaceProto) -> tuple[Block, Block]:
-    """Integer blocks of A and B on numerator pairs, from the cylinder periods.
-
-    Multiplying a + b*w by the period r + s*w gives
-    (r*a + e*s*b) + (s*a + (r + f*s)*b)*w.  A adds (a, b) times the block of
-    p_left to (c, d); B adds (c, d) times the block of p_low to (a, b).
-    """
-    e, f = proto.field.e, proto.field.f
-    blocks = []
-    for p in (proto.p_left, proto.p_low):
-        block = ((p.r, e * p.i), (p.i, p.r + f * p.i))
-        if any(x.denominator != 1 for row in block for x in row):
-            raise ValueError("mod-N action needs an integral twist block")
-        blocks.append(tuple(tuple(int(x) for x in row) for row in block))
-    return blocks[0], blocks[1]
-
-
 def _moved(m: Block, sign: int, x, y, X, Y, N: int):
-    """(X, Y) + sign*m*(x, y) mod N, on ints or on numpy arrays."""
-    (p, q), (r, s) = m
-    return (X + sign * (p * x + q * y)) % N, (Y + sign * (r * x + s * y)) % N
+    """(X, Y) + sign * m @ (x, y) mod N, on ints or on numpy arrays."""
+    X, Y = shear(m, sign, x, y, X, Y)
+    X %= N
+    Y %= N
+    return X, Y
 
 
 def act(v: ModNVec, gen: str, proto: SurfaceProto | None = None) -> ModNVec:
@@ -90,17 +67,16 @@ def act(v: ModNVec, gen: str, proto: SurfaceProto | None = None) -> ModNVec:
     """
     if gen not in ("A", "A-1", "B", "B-1"):
         raise ValueError(f"unknown generator {gen!r}")
-    mA, mB = _twists(proto if proto is not None else _L8)
+    m = (proto if proto is not None else _L8).wiring[gen[0]].block
     N, sign = v.N, -1 if gen.endswith("-1") else 1
     if gen[0] == "A":
-        return ModNVec(N, v.a, v.b, *_moved(mA, sign, v.a, v.b, v.c, v.d, N))
-    return ModNVec(N, *_moved(mB, sign, v.c, v.d, v.a, v.b, N), v.c, v.d)
+        return ModNVec(N, v.a, v.b, *_moved(m, sign, v.a, v.b, v.c, v.d, N))
+    return ModNVec(N, *_moved(m, sign, v.c, v.d, v.a, v.b, N), v.c, v.d)
 
 
 def project(P: SurfacePoint) -> ModNVec:
-    """Numerators of (x_r, x_i, y_r, y_i) over the common denominator N, mod N."""
-    N = n_value(P)
-    return ModNVec(N, *(q.numerator * (N // q.denominator) % N for q in P.key))
+    """The point's numerators (a, b, c, d) mod its denominator N."""
+    return ModNVec(P.N, *(t % P.N for t in (P.a, P.b, P.c, P.d)))
 
 
 # -- component counting -----------------------------------------------------
@@ -113,7 +89,7 @@ def _digits(idx, N: int):
 
 def _perm_images(N: int, proto: SurfaceProto) -> list[np.ndarray]:
     """Dense index permutations for A, A^-1, B, B^-1 over all of (Z/N)^4."""
-    mA, mB = _twists(proto)
+    mA, mB = (proto.wiring[gen].block for gen in "AB")
     a, b, c, d = _digits(np.arange(N**4, dtype=np.int64), N)
 
     def enc(a_, b_, c_, d_):
@@ -183,7 +159,7 @@ def component_labels(N: int, proto: SurfaceProto | None = None) -> np.ndarray:
 
 
 class _UnionFind:
-    """Classic union-find with path compression; the independent second path."""
+    """Classic union-find with path compression and union by rank."""
 
     def __init__(self, n: int) -> None:
         self.parent = list(range(n))
@@ -206,22 +182,6 @@ class _UnionFind:
         self.parent[ry] = rx
         if self.rank[rx] == self.rank[ry]:
             self.rank[rx] += 1
-
-
-def components_unionfind(N: int, proto: SurfaceProto | None = None) -> int:
-    """Component count via union-find over explicit edges (cross-check path)."""
-    proto = proto if proto is not None else _L8
-    if N == 1:
-        return 1
-    size = N**4
-    uf = _UnionFind(size)
-    imgA, _, imgB, _ = _perm_images(N, proto)
-    for i in range(size):
-        uf.union(i, int(imgA[i]))
-        uf.union(i, int(imgB[i]))
-    mask = _valid_mask(N)
-    roots = {uf.find(i) for i in range(size) if mask[i]}
-    return len(roots)
 
 
 def component_table(

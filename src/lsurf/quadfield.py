@@ -2,8 +2,10 @@
 
 The generator w is the positive root of ``w**2 = e + f*w`` (so
 ``w = (f + sqrt(f**2 + 4e))/2``) and every element is stored as an exact
-pair ``r + i*w`` with rational r, i.  All comparisons route through
-:meth:`QuadNum.sign`, the single certified comparison primitive.
+pair ``r + i*w`` with rational r, i.  Comparisons and floors rewrite the
+value as (p + q*sqrt(m))/den with integers and go through the two integer
+primitives ``sign_sqrt`` and ``floor_sqrt``, which ``lsurf.surface`` calls
+directly on point numerators.
 """
 
 from __future__ import annotations
@@ -12,17 +14,7 @@ import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
-
-Rational = Fraction
-
-
-def _sgn_fraction(x: Fraction) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+from math import isqrt, lcm
 
 
 def _is_square_fraction(x: Fraction) -> bool:
@@ -34,15 +26,23 @@ def _is_square_fraction(x: Fraction) -> bool:
     return rn * rn == n and rd * rd == d
 
 
-def _floor_sqrt_fraction(x: Fraction) -> int:
-    """Largest integer t >= 0 with t**2 <= x (x >= 0)."""
-    n, d = x.numerator, x.denominator
-    t = isqrt(n // d)
-    while (t + 1) * (t + 1) * d <= n:
-        t += 1
-    while t * t * d > n:
-        t -= 1
-    return t
+def sign_sqrt(p: int, q: int, m: int) -> int:
+    """Exact sign of p + q*sqrt(m) for integers p, q and a non-square m > 0."""
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sp == sq or sq == 0:
+        return sp
+    if sp == 0:
+        return sq
+    # opposite signs; p*p == q*q*m is impossible for non-square m
+    return sp if p * p > q * q * m else sq
+
+
+def floor_sqrt(p: int, q: int, m: int, den: int) -> int:
+    """Exact floor of (p + q*sqrt(m))/den for integers p, q, den > 0 and a
+    non-square m > 0: q*sqrt(m) is t or -t - 1 for t = isqrt(q*q*m), plus a
+    fraction in [0, 1) that never carries past a multiple of den."""
+    t = isqrt(q * q * m)
+    return (p + (t if q >= 0 else -t - 1)) // den
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,6 @@ class FieldSpec:
         return QuadNum(Fraction(x), Fraction(0), self)
 
     # built once per field: hot paths read these on every step
-    @cached_property
-    def zero(self) -> QuadNum:
-        return self.from_rational(0)
-
     @cached_property
     def one(self) -> QuadNum:
         return self.from_rational(1)
@@ -169,31 +165,21 @@ class QuadNum:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other: QuadNum | Fraction | int) -> QuadNum:
-        return self.inverse() * other
-
     # -- ordering ---------------------------------------------------------
 
-    def sign(self) -> int:
-        """Sign of r + i*w under the positive real embedding, exactly.
+    def _surd(self) -> tuple[int, int, int, int]:
+        """Integers (p, q, m, den) with self = (p + q*sqrt(m))/den, den > 0:
+        r + i*w = (r + i*f/2) + (i/(2*md))*sqrt(mn*md) for m = mn/md."""
+        m = self.field.m
+        P, Q = self.r + self.i * self.field.f / 2, self.i / (2 * m.denominator)
+        den = lcm(P.denominator, Q.denominator)
+        p, q = (t.numerator * (den // t.denominator) for t in (P, Q))
+        return p, q, m.numerator * m.denominator, den
 
-        Rewrites the value as p + q*sqrt(m) and decides by rational case
-        analysis, comparing p^2 with q^2 m when the signs differ.
-        """
-        f, m = self.field.f, self.field.m
-        p = self.r + self.i * f / 2
-        q = self.i / 2
-        if q == 0:
-            return _sgn_fraction(p)
-        if p == 0:
-            return _sgn_fraction(q)
-        sp, sq = _sgn_fraction(p), _sgn_fraction(q)
-        if sp == sq:
-            return sp
-        lhs, rhs = p * p, q * q * m
-        if lhs == rhs:  # impossible for non-square m; kept as a guard
-            return 0
-        return sp if lhs > rhs else sq
+    def sign(self) -> int:
+        """Sign of r + i*w under the positive real embedding, exactly."""
+        p, q, m, _ = self._surd()
+        return sign_sqrt(p, q, m)
 
     def is_zero(self) -> bool:
         return self.r == 0 and self.i == 0
@@ -231,20 +217,7 @@ class QuadNum:
 
     def floor(self) -> int:
         """Unique n with n <= self < n+1, certified by sign() checks."""
-        f, m = self.field.f, self.field.m
-        p = self.r + self.i * f / 2
-        q = self.i / 2
-        if q == 0:
-            return p.numerator // p.denominator
-        t = _floor_sqrt_fraction(q * q * m)
-        if q > 0:
-            fs = t
-        else:
-            fs = -t - 1  # q*sqrt(m) < 0 is irrational, never an integer
-        n = p.numerator // p.denominator + fs
-        # frac(p) + frac(q sqrt m) may carry; adjust and certify
-        if (self - (n + 1)).sign() >= 0:
-            n += 1
+        n = floor_sqrt(*self._surd())
         if (self - n).sign() < 0 or (self - (n + 1)).sign() >= 0:
             raise ArithmeticError(f"floor certification failed for {self!r}")
         return n

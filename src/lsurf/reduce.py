@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
 from .modn import _UnionFind, components
@@ -21,6 +20,7 @@ from .quadfield import QuadNum
 from .schreier import ResourceCapError
 from .surface import (
     GeneratorWord,
+    InternalError,
     InvalidPointError,
     SurfacePoint,
     SurfaceProto,
@@ -43,7 +43,7 @@ CASE_SHRINK_Y = 3
 CASE_SHRINK_X = 4
 
 
-class ReduceProgressError(RuntimeError):
+class ReduceProgressError(InternalError):
     """The 2-step decrease of max(|x_i|, |y_i|) failed: internal error."""
 
 
@@ -64,7 +64,8 @@ def in_S(P: SurfacePoint) -> bool:
     """Exact membership test |x_i| <= 35+24w and |y_i| <= 35+24w."""
     _require_l8(P)
     bound = s_bound(P.proto)
-    return (bound - abs(P.x.i)).sign() >= 0 and (bound - abs(P.y.i)).sign() >= 0
+    r, i = int(bound.r) * P.N, int(bound.i) * P.N
+    return all(P.proto.sign(r - abs(t), i) >= 0 for t in (P.b, P.d))
 
 
 @dataclass(frozen=True)
@@ -88,21 +89,20 @@ def reduce_point(
     leaving the smaller moved irrational part wins, ties toward +n.
     """
     _require_l8(P)
-    coeff = dict(zip("AB", P.proto.coeffs))
+    proto, N = P.proto, P.N
     letters: list[tuple[str, int]] = []
     trace: list[tuple[int, int | None]] = []
     cur = P
-    m_window: list[Fraction] = []
+    m_window: list[int] = []  # numerators over the orbit invariant N
 
     while not in_S(cur):
         if len(trace) >= max_steps:
             raise ReduceProgressError(f"no convergence after {max_steps} steps")
-        m = max(abs(cur.x.i), abs(cur.y.i))
-        m_window.append(m)
+        m_window.append(max(abs(cur.b), abs(cur.d)))
         if len(m_window) >= 3:
             if not m_window[-1] < m_window[-3]:
                 raise ReduceProgressError(
-                    f"measure {m_window[-3]} -> {m_window[-1]} did not decrease "
+                    f"measure {m_window[-3]}/{N} -> {m_window[-1]}/{N} did not decrease "
                     f"over two iterations at step {len(trace)}"
                 )
             m_window.pop(0)
@@ -116,11 +116,13 @@ def reduce_point(
             letters += [("B", 1), ("A", -1), ("B", -1)]
             trace.append((CASE_A_PERIODIC, None))
         else:
-            gen = "A" if abs(cur.x.i) < abs(cur.y.i) else "B"
-            u = axes(cur, gen)[0]
-            n = (1 / (abs(u.i) * coeff[gen])).ceil() if (u - 1).sign() < 0 else 1
+            gen = "A" if abs(cur.b) < abs(cur.d) else "B"
+            u0, u1 = axes(cur, gen)[0]
+            # near cylinder: ceil(1/(|u_i|*c)) = -floor(-N/(|u1|*c))
+            near = proto.sign(u0 - N, u1) < 0
+            n = -proto.quotient(-N, 0, abs(u1), proto.wiring[gen].coeff) if near else 1
             plus, minus = apply(cur, gen, n), apply(cur, gen, -n)
-            if abs(axes(plus, gen)[1].i) <= abs(axes(minus, gen)[1].i):
+            if abs(axes(plus, gen)[1][1]) <= abs(axes(minus, gen)[1][1]):
                 cur, e = plus, n
             else:
                 cur, e = minus, -n
@@ -129,7 +131,7 @@ def reduce_point(
 
     word = GeneratorWord(letters)
     if check and apply_word(P, word) != cur:
-        raise AssertionError("word replay does not reproduce the output")
+        raise InternalError("word replay does not reproduce the output")
     return ReduceResult(input=P, word=word, output=cur, steps=len(trace), trace=tuple(trace))
 
 
@@ -166,9 +168,7 @@ def enumerate_S(
             if gcd(gx, gy) != 1:
                 continue
             try:
-                point = SurfacePoint.from_fractions(
-                    proto, Fraction(a, N), Fraction(b, N), Fraction(c, N), Fraction(d, N)
-                )
+                point = SurfacePoint(proto, N, a, b, c, d)
             except InvalidPointError:
                 continue
             points.setdefault(point.key, point)
@@ -233,7 +233,7 @@ def orbit_class_bracket(
             out = reduce_point(apply(point, gen, exp)).output
             j = index.get(out.key)
             if j is None:
-                raise AssertionError(f"reduction left the enumerated set: {out}")
+                raise InternalError(f"reduction left the enumerated set: {out}")
             uf.union(i, j)
 
     groups: dict[int, list[int]] = {}

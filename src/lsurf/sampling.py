@@ -9,10 +9,10 @@ denominator N and clipped to a box; polygon membership is enforced exactly
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .surface import (
     InvalidPointError,
+    Pair,
     SurfacePoint,
     SurfaceProto,
     axes,
@@ -43,9 +43,7 @@ def sample_point(
             continue
         c = rng.choice(window)
         try:
-            return SurfacePoint.from_fractions(
-                proto, Fraction(a, N), Fraction(b, N), Fraction(c, N), Fraction(d, N)
-            )
+            return SurfacePoint(proto, N, a, b, c, d)
         except InvalidPointError:
             continue
     raise RuntimeError("sampling failed to produce a valid point")
@@ -62,17 +60,17 @@ def sample_nonperiodic_point(
     raise RuntimeError("could not sample a doubly non-periodic point")
 
 
-def _sample_unit(proto: SurfaceProto, N: int, rng: random.Random, closed: bool) -> tuple[Fraction, Fraction]:
-    """(r, i) of a coordinate in [0, 1], or in [0, 1) unless closed.  The two
-    windows differ only at i = 0, the one case where the endpoint N/N is a
-    numerator."""
+def _sample_unit(proto: SurfaceProto, N: int, rng: random.Random, closed: bool) -> Pair:
+    """Numerators over N of a coordinate in [0, 1], or in [0, 1) unless
+    closed.  The two windows differ only at i = 0, the one case where the
+    endpoint N/N is a numerator."""
     fs = proto.field
     imax = (fs.one / fs.w * N).floor() + 1
     while True:
         i = rng.randint(-imax, imax)
         window = range(N + 1) if closed and i == 0 else numerator_window(fs.one, N, i)
         if window:
-            return Fraction(rng.choice(window), N), Fraction(i, N)
+            return rng.choice(window), i
 
 
 def _sample_periodic(
@@ -82,23 +80,23 @@ def _sample_periodic(
     under the other generator too, True requires them to be, None accepts
     either."""
     other = "B" if gen == "A" else "A"
-    far = proto.far(gen)
+    R, S = proto.wiring[gen].far
     for _ in range(10_000):
         if N >= 2 and rng.random() < 0.5:
-            # far cylinder: u - 1 a rational multiple of the far size.  u > 1
-            # puts v in the unit interval of the other coordinate's near
+            # far cylinder: u - 1 = (k/N)*(R + S*w)/S, over denominator N*S.
+            # u > 1 puts v in the unit interval of the other coordinate's near
             # cylinder: [0, 1] for y (y = 1 is glued to y = 0), [0, 1) for x
-            u_i = Fraction(rng.randint(1, N - 1), N)
-            u = (1 + u_i * far.r / far.i, u_i)
-            v = _sample_unit(proto, N, rng, closed=gen == "A")
+            k = rng.randint(1, N - 1)
+            den, u = N * S, (N * S + k * R, k * S)
+            v = tuple(t * S for t in _sample_unit(proto, N, rng, closed=gen == "A"))
         else:
             # near cylinder: u rational in [0, 1]; any in-polygon v pairs with it
-            u = (Fraction(rng.randint(0, N), N), Fraction(0))
-            donor = axes(sample_point(proto, N, rng, box=3 * N + 10), gen)[1]
-            v = (donor.r, donor.i)
+            den, u = N, (rng.randint(0, N), 0)
+            donor = sample_point(proto, N, rng, box=3 * N + 10)
+            v = tuple(t * (N // donor.N) for t in axes(donor, gen)[1])
         x, y = (u, v) if gen == "A" else (v, u)
         try:
-            P = SurfacePoint.from_fractions(proto, *x, *y)
+            P = SurfacePoint(proto, den, *x, *y)
         except InvalidPointError:
             continue
         if is_periodic(P, gen) and other_periodic in (None, is_periodic(P, other)):

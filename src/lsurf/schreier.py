@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import inf
 
 from .surface import (
+    InternalError,
     SurfacePoint,
     SurfaceProto,
     apply,
@@ -133,6 +134,8 @@ def _bfs(ball: OrbitGraph, P: SurfacePoint, radius: int, max_vertices: int) -> O
     """Fill ``ball`` breadth-first from P out to the radius; vertices are
     deduplicated by exact coordinates.  A pruned (g2) ball must never reach a
     vertex periodic under both generators."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     ball.points[P.key] = P
     ball.depth[P.key] = 0
     queue = deque([P.key])
@@ -148,7 +151,7 @@ def _bfs(ball: OrbitGraph, P: SurfacePoint, radius: int, max_vertices: int) -> O
             if ball.g2 and _jointly_periodic(img):
                 # cannot happen unless the start itself were pruned: a pruned
                 # point is fixed by these powers, and the powers are invertible
-                raise AssertionError(f"pruned vertex reached from {key}")
+                raise InternalError(f"pruned vertex reached from {key}")
             ikey = img.key
             if ikey not in ball.points:
                 if len(ball.points) >= max_vertices:
@@ -171,8 +174,6 @@ def expand_ball(
     max_vertices: int = 200_000,
 ) -> OrbitGraph:
     """BFS ball of the given radius; vertices deduplicated by exact coordinates."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
     ball = OrbitGraph(proto=P.proto, gens=_gen_order(gens), root=P.key)
     return _bfs(ball, P, radius, max_vertices)
 

@@ -1,9 +1,10 @@
-"""Combinatorial Laplacian, Rayleigh quotients, and the Cheeger sandwich.
+"""Combinatorial Laplacian, Dirichlet bottoms, and the Cheeger sandwich.
 
 The Laplacian sends b to i -> sum over neighbors j of b(i) - b(j); loops
-contribute nothing and are dropped on construction.  Exact rational mode is
-available for the operator identities; eigenvalue work is double precision
-with a deterministic start vector.  For a support S inside a larger host
+contribute nothing and are dropped on construction.  Its sparse matrix has
+integer entries, so the operator identities hold exactly on Fraction
+vectors; eigenvalue work is double precision with a deterministic start
+vector.  For a support S inside a larger host
 graph, the Dirichlet bottom mu0(S) = min Rayleigh quotient over functions
 vanishing outside S satisfies  c_S^2/(2k) <= mu0(S) <= k*c_S  with
 c_S = min c(M) over nonempty M inside S, which is the finite, provable form
@@ -85,38 +86,6 @@ class FiniteGraph:
 
     def is_connected(self) -> bool:
         return self.n == 0 or len(graph_ball(self, 0, self.n)) == self.n
-
-
-def laplacian_apply(G: FiniteGraph, b) -> list:
-    """(Delta b)(i) = deg(i) b(i) - sum of b over neighbors; exact on Fractions."""
-    if len(b) != G.n:
-        raise ValueError("b must be defined on all vertices")
-    out = [x * 0 for x in b] if G.n else []
-    for u, v in G.edges:
-        out[u] += b[u] - b[v]
-        out[v] += b[v] - b[u]
-    return out
-
-
-def quadratic_form(G: FiniteGraph, b):
-    """q(b) = sum over edges of (b(i) - b(j))^2; equals <Delta b, b>."""
-    acc = 0
-    for u, v in G.edges:
-        diff = b[u] - b[v]
-        acc += diff * diff
-    return acc
-
-
-def inner(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
-def rayleigh(G: FiniteGraph, b) -> float:
-    """||grad b||^2 / ||b||^2 for nonzero b."""
-    nb = inner(b, b)
-    if nb == 0:
-        raise ValueError("b must be nonzero")
-    return quadratic_form(G, b) / nb
 
 
 def _laplacian_matrix(G: FiniteGraph) -> sp.csr_matrix:

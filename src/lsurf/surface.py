@@ -5,12 +5,20 @@ and an upper cylinder ``[0, 1) x (1, p_left)``; the canonical point of each
 boundary identification is the one with smaller coordinates.  The two cylinder
 periods ``p_low`` and ``p_left`` determine everything else: each coordinate
 lies in a near cylinder of height 1 or in a far one of height ``p_left - 1``
-(horizontal) or ``p_low - 1`` (vertical).  The two parabolic generators act per
-cylinder as exact Dehn twists computed with division with remainder in Q(w);
-no floating point enters any orbit computation.
+(horizontal) or ``p_low - 1`` (vertical).
 
-The generators mirror each other; code written once for both reads its side
-through ``axes``, ``apply``, ``is_periodic`` and ``SurfaceProto.far``:
+A point is five integers ``(N; a, b, c, d)`` in lowest terms, with
+x = (a + b*w)/N and y = (c + d*w)/N; N is an orbit invariant.  A generator
+acts per cylinder as an exact Dehn twist on the numerators: n twists of the
+cylinder of u add n*u*period (near) or n*(u - 1)*period (far) to the moved
+coordinate v, then subtract one integer floor times the circumference (the
+period, or 1).  With w^2 = e + f*w, multiplying (a + b*w) by the period
+r + s*w is the generator's integer block ((r, e*s), (s, r + f*s)) on (a, b),
+``SurfaceProto.wiring[gen].block``; ``lsurf.modn`` applies it mod N.  Signs
+and floors are the integer primitives of ``lsurf.quadfield``.
+
+Code written once for both generators reads its side through ``axes``,
+``apply``, ``is_periodic``, ``SurfaceProto.far`` and ``.wiring``:
 
     gen  cylinder  moved  period  far size                   coeffs  exponent
     A    x         y      p_left  right_width = p_low - 1    [0]     k
@@ -23,13 +31,45 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
-from .quadfield import FieldSpec, QuadNum, qmax, reduce_mod
+from .quadfield import FieldSpec, QuadNum, floor_sqrt, qmax, sign_sqrt
+
+Pair = tuple[int, int]
+Block = tuple[Pair, Pair]
 
 
 class InvalidPointError(ValueError):
     """Coordinates outside the canonical polygon, or a singular corner."""
+
+
+class InternalError(RuntimeError):
+    """An internal invariant failed: a bug in lsurf, never a bad input."""
+
+
+def _pair(q: QuadNum) -> Pair:
+    """(r, i) of an integral q = r + i*w."""
+    if q.r.denominator != 1 or q.i.denominator != 1:
+        raise ValueError(f"{q} is not integral")
+    return int(q.r), int(q.i)
+
+
+class Divisor(NamedTuple):
+    """An integral q > 0 and the block of g/q = +-conj(q), g = |norm q|."""
+
+    q: Pair
+    scale: Block
+    g: int
+
+
+class Wiring(NamedTuple):
+    """A generator's period block, period divisor, far size and coeffs divisor."""
+
+    block: Block
+    near: Divisor
+    far: Pair
+    coeff: Divisor
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +112,38 @@ class SurfaceProto:
         """Size of the far cylinder of the coordinate whose cylinder gen twists."""
         return self.right_width if gen == "A" else self.upper_height
 
+    # -- integer wiring: w = (f + sqrt(D))/2 with f = 0 or 1 -----------------
+
+    def sign(self, u: int, v: int) -> int:
+        """Exact sign of u + v*w for integers u, v."""
+        return sign_sqrt(2 * u + (self.eps != 0) * v, v, self.D)
+
+    def within(self, N: int, v0: int, v1: int, t: Pair) -> bool:
+        """0 <= (v0 + v1*w)/N < t0 + t1*w."""
+        return self.sign(v0, v1) >= 0 and self.sign(N * t[0] - v0, N * t[1] - v1) > 0
+
+    def quotient(self, v0: int, v1: int, den: int, d: Divisor) -> int:
+        """Exact floor of (v0 + v1*w)/(den*q) for den > 0: v/q = v*(g/q)/g."""
+        u, v = shear(d.scale, 1, v0, v1, 0, 0)
+        return floor_sqrt(2 * u + (self.eps != 0) * v, v, self.D, 2 * den * d.g)
+
+    def _block(self, q: QuadNum) -> Block:
+        # columns q*1 and q*w: ((r, e*s), (s, r + f*s)) for q = r + s*w
+        (r0, i0), (r1, i1) = _pair(q), _pair(q * self.w)
+        return (r0, r1), (i0, i1)
+
+    def _divisor(self, q: QuadNum) -> Divisor:
+        g = abs(q.norm())
+        return Divisor(_pair(q), self._block(q.inverse() * g), int(g))
+
+    @cached_property
+    def wiring(self) -> dict[str, Wiring]:
+        """Each generator's integer data, derived once from its period."""
+        return {
+            gen: Wiring(self._block(p), self._divisor(p), _pair(self.far(gen)), self._divisor(c))
+            for gen, p, c in zip("AB", (self.p_left, self.p_low), self.coeffs)
+        }
+
     @property
     def name(self) -> str:
         if self.eps == 0:
@@ -92,6 +164,7 @@ class SurfaceProto:
 
 # the cylinder periods (p_low - w, p_left - w) per spin eps
 _PERIODS = {0: (1, 0), 1: (1, -1), -1: (0, 0)}
+_UNIT = Divisor((1, 0), ((1, 0), (0, 1)), 1)  # far-cylinder circumference
 
 
 @lru_cache(maxsize=None)
@@ -138,64 +211,69 @@ def surface(selector: str) -> SurfaceProto:
 
 
 class SurfacePoint:
-    """Canonical nonsingular point of a prototype surface.
+    """Canonical nonsingular point (N; a, b, c, d) of a prototype surface,
+    x = (a + b*w)/N and y = (c + d*w)/N with gcd(N, a, b, c, d) = 1.
 
-    Construction validates polygon membership, rejects the two singular
-    corners (0,0) and (1,1), and normalizes the identified top edge
-    (x, 1) ~ (x, 0) for x > 1 so that equal surface points have equal keys.
+    Construction divides out the gcd, validates polygon membership with
+    integer signs, rejects the two singular corners (0,0) and (1,1), and
+    normalizes the identified top edge (x, 1) ~ (x, 0) for x > 1, so that
+    equal surface points have equal numerators.  ``x``, ``y`` and ``key``
+    are exact read-only views.
     """
 
-    __slots__ = ("x", "y", "proto")
+    __slots__ = ("N", "a", "b", "c", "d", "proto")
 
-    def __init__(self, x: QuadNum, y: QuadNum, proto: SurfaceProto) -> None:
-        if y.sign() < 0:
-            raise InvalidPointError(f"y={y} < 0")
-        in_lower = (y - 1).sign() <= 0
-        if in_lower:
-            if x.sign() < 0 or (x - proto.p_low).sign() >= 0:
-                raise InvalidPointError(f"x={x} outside [0, {proto.p_low})")
-        else:
-            if (y - proto.p_left).sign() >= 0:
-                raise InvalidPointError(f"y={y} outside [0, {proto.p_left})")
-            if x.sign() < 0 or (x - 1).sign() >= 0:
-                raise InvalidPointError(f"x={x} outside [0, 1) in the upper cylinder")
-        if (x.is_zero() and y.is_zero()) or (x == 1 and y == 1):
+    def __init__(self, proto: SurfaceProto, N: int, a: int, b: int, c: int, d: int) -> None:
+        if N < 1:
+            raise ValueError(f"denominator N={N} must be >= 1")
+        g = gcd(N, a, b, c, d)
+        if g > 1:
+            N, a, b, c, d = N // g, a // g, b // g, c // g, d // g
+        sign, within, wiring = proto.sign, proto.within, proto.wiring
+        if sign(c - N, d) <= 0:  # lower cylinder: 0 <= y <= 1, 0 <= x < p_low
+            inside = sign(c, d) >= 0 and within(N, a, b, wiring["B"].near.q)
+        else:  # upper cylinder: 1 < y < p_left, 0 <= x < 1
+            inside = within(N, c, d, wiring["A"].near.q) and within(N, a, b, _UNIT.q)
+        if not inside:
+            raise InvalidPointError(f"({a} + {b}w, {c} + {d}w)/{N} is outside {proto.name}")
+        if b == d == 0 and (a == c == 0 or a == c == N):
             raise InvalidPointError("singular corner")
-        if y == 1 and (x - 1).sign() > 0:
-            y = proto.field.zero  # (x,1) ~ (x,0) for x > 1; keep smaller coordinates
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "proto", proto)
+        if c == N and d == 0 and sign(a - N, b) > 0:
+            c = 0  # (x,1) ~ (x,0) for x > 1; keep smaller coordinates
+        for name, value in zip(self.__slots__, (N, a, b, c, d, proto)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("SurfacePoint is immutable")
 
     @classmethod
-    def from_fractions(
-        cls,
-        proto: SurfaceProto,
-        x_r: Fraction | int,
-        x_i: Fraction | int,
-        y_r: Fraction | int,
-        y_i: Fraction | int,
-    ) -> SurfacePoint:
-        return cls(
-            QuadNum(Fraction(x_r), Fraction(x_i), proto.field),
-            QuadNum(Fraction(y_r), Fraction(y_i), proto.field),
-            proto,
-        )
+    def from_fractions(cls, proto: SurfaceProto, *coords: Fraction | int) -> SurfacePoint:
+        """The point with rational coordinates (x_r, x_i, y_r, y_i)."""
+        parts = [Fraction(t) for t in coords]
+        N = lcm(*(t.denominator for t in parts))
+        return cls(proto, N, *(t.numerator * (N // t.denominator) for t in parts))
+
+    @property
+    def x(self) -> QuadNum:
+        return QuadNum(Fraction(self.a, self.N), Fraction(self.b, self.N), self.proto.field)
+
+    @property
+    def y(self) -> QuadNum:
+        return QuadNum(Fraction(self.c, self.N), Fraction(self.d, self.N), self.proto.field)
 
     @property
     def key(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.x.r, self.x.i, self.y.r, self.y.i)
+        return tuple(Fraction(t, self.N) for t in (self.a, self.b, self.c, self.d))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SurfacePoint):
             return NotImplemented
-        return self.proto == other.proto and self.key == other.key
+        return self.proto == other.proto and (self.N, self.a, self.b, self.c, self.d) == (
+            other.N, other.a, other.b, other.c, other.d
+        )
 
     def __hash__(self) -> int:
-        return hash(self.key)
+        return hash((self.N, self.a, self.b, self.c, self.d))
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.key)
@@ -216,30 +294,47 @@ def parse_point(proto: SurfaceProto, literal: str) -> SurfacePoint:
     return SurfacePoint.from_fractions(proto, xr, xi, yr, yi)
 
 
-def _twist(u: QuadNum, v: QuadNum, n: int, period: QuadNum) -> QuadNum:
-    """Coordinate v after n twists of the cylinder that coordinate u lies in.
+def shear(m: Block, n, u0, u1, v0, v1):
+    """(v0, v1) + n * m @ (u0, u1): n twists adding u times the block's
+    number to v, on numerator pairs of ints or of numpy arrays."""
+    (p, q), (r, s) = m
+    return v0 + n * (p * u0 + q * u1), v1 + n * (r * u0 + s * u1)
 
-    In the near cylinder (u <= 1, circumference ``period``) v moves by
-    u*period per twist; in the far one (circumference 1) by (u - 1)*period.
+
+def _twist(P: SurfacePoint, gen: str, n: int) -> Pair:
+    """Numerators over P.N of the coordinate v that gen moves, after n twists
+    of the cylinder that the other coordinate u lies in.
+
+    In the near cylinder (u <= 1, circumference the period) v moves by
+    u*period per twist, in the far one (circumference 1) by (u - 1)*period;
+    then one exact floor reduces v modulo the circumference.
     """
-    off = u - 1
-    if off.sign() <= 0:
-        return reduce_mod(v + u * period * n, period)[1]
-    return reduce_mod(v + off * period * n, u.field.one)[1]
+    (u0, u1), (v0, v1) = axes(P, gen)
+    proto, N, wiring = P.proto, P.N, P.proto.wiring[gen]
+    modulus = wiring.near
+    if proto.sign(u0 - N, u1) > 0:
+        u0, modulus = u0 - N, _UNIT
+    v0, v1 = shear(wiring.block, n, u0, u1, v0, v1)
+    k = proto.quotient(v0, v1, N, modulus)
+    t = modulus.q
+    v0, v1 = v0 - k * N * t[0], v1 - k * N * t[1]
+    if not proto.within(N, v0, v1, t):
+        raise InternalError(f"twist remainder ({v0} + {v1}*w)/{N} outside [0, {t[0]} + {t[1]}*w)")
+    return v0, v1
 
 
 def apply_B(P: SurfacePoint, l: int) -> SurfacePoint:
     """Horizontal parabolic power: twists x within its horizontal cylinder."""
     if l == 0:
         return P
-    return SurfacePoint(_twist(P.y, P.x, l, P.proto.p_low), P.y, P.proto)
+    return SurfacePoint(P.proto, P.N, *_twist(P, "B", l), P.c, P.d)
 
 
 def apply_A(P: SurfacePoint, k: int) -> SurfacePoint:
     """Vertical parabolic power: twists y within its vertical cylinder."""
     if k == 0:
         return P
-    return SurfacePoint(P.x, _twist(P.x, P.y, k, P.proto.p_left), P.proto)
+    return SurfacePoint(P.proto, P.N, P.a, P.b, *_twist(P, "A", k))
 
 
 def apply(P: SurfacePoint, gen: str, n: int) -> SurfacePoint:
@@ -248,9 +343,11 @@ def apply(P: SurfacePoint, gen: str, n: int) -> SurfacePoint:
     return (apply_A if gen == "A" else apply_B)(P, n)
 
 
-def axes(P: SurfacePoint, gen: str) -> tuple[QuadNum, QuadNum]:
-    """(u, v): the coordinate whose cylinder gen twists and the one gen moves."""
-    return (P.x, P.y) if gen == "A" else (P.y, P.x)
+def axes(P: SurfacePoint, gen: str) -> tuple[Pair, Pair]:
+    """Numerator pairs (u, v) over P.N: the coordinate whose cylinder gen
+    twists and the one gen moves."""
+    x, y = (P.a, P.b), (P.c, P.d)
+    return (x, y) if gen == "A" else (y, x)
 
 
 def delta_A(P: SurfacePoint, k: int) -> Fraction:
@@ -267,12 +364,11 @@ def is_periodic(P: SurfacePoint, gen: str) -> bool:
     """Finite orbit under gen: the twisted coordinate u has a rational
     splitting ratio, u itself in the near cylinder (u <= 1), (u - 1)/far in
     the far one."""
-    u = axes(P, gen)[0]
-    off = u - 1
-    if off.sign() <= 0:
-        return u.i == 0
-    far = P.proto.far(gen)
-    return off.r * far.i == off.i * far.r
+    (u0, u1), N = axes(P, gen)[0], P.N
+    if P.proto.sign(u0 - N, u1) <= 0:
+        return u1 == 0
+    r, i = P.proto.wiring[gen].far
+    return (u0 - N) * i == u1 * r
 
 
 def is_B_periodic(P: SurfacePoint) -> bool:
@@ -296,21 +392,19 @@ def splitting_ratio(P: SurfacePoint, direction: str) -> QuadNum:
     gen = {"horizontal": "B", "vertical": "A"}.get(direction)
     if gen is None:
         raise ValueError(f"direction must be 'horizontal' or 'vertical', got {direction!r}")
-    u = axes(P, gen)[0]
+    u = P.x if gen == "A" else P.y
     off = u - 1
     return u if off.sign() <= 0 else off / P.proto.far(gen)
 
 
 def s_value(P: SurfacePoint) -> Fraction:
     """Complexity |x_i| + |y_i| driving all growth arguments."""
-    return abs(P.x.i) + abs(P.y.i)
+    return Fraction(abs(P.b) + abs(P.d), P.N)
 
 
 def n_value(P: SurfacePoint) -> int:
-    """Least common denominator of the four coordinates; an orbit invariant."""
-    return lcm(
-        P.x.r.denominator, P.x.i.denominator, P.y.r.denominator, P.y.i.denominator
-    )
+    """Common denominator N of the four coordinates; an orbit invariant."""
+    return P.N
 
 
 @dataclass(frozen=True)

@@ -50,15 +50,9 @@ from lsurf.schreier import (
     root_paths_strictly_increasing,
     tree_cheeger_profile,
 )
-from lsurf.spectral import (
-    FiniteGraph,
-    dirichlet_mu0,
-    graph_ball,
-    inner,
-    laplacian_apply,
-    quadratic_form,
-)
+from lsurf.spectral import FiniteGraph, dirichlet_mu0, graph_ball
 from lsurf.surface import apply_word, n_value, prototype, s_value
+from test_spectral import inner, laplacian_apply, quadratic_form
 
 TABLE_CN = [1, 5, 1, 8, 1, 5, 3, 8, 1, 5, 1, 8, 1, 15, 1, 8, 3, 5, 1, 8, 3, 5, 3, 8, 1, 5, 1, 24]
 TREE_LIMIT = 4 - 2 * math.sqrt(3)

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lsurf
 from lsurf.cli import main
+from lsurf.reduce import ReduceProgressError
+from lsurf.surface import InternalError
 
 
 def run_cli(capsys, *argv):
@@ -148,3 +155,40 @@ def test_spectral_input_errors_are_usage_errors(
     assert code == 2
     assert message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["explore", "classify"])
+def test_negative_radius_is_usage_error(capsys, command):
+    code = main([command, "--point", "1/3,1/3,1/2,0", "--radius", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "radius must be >= 0" in captured.err
+
+
+def test_closed_stdout_exits_quietly():
+    # the radius-6 ball's JSON (about 190 kB) overfills the pipe, so the
+    # writer is still writing when the reader goes away
+    env = dict(os.environ, PYTHONPATH=str(Path(lsurf.__file__).parents[1]))
+    argv = ["explore", "--point", "1/3,1/3,1/2,0", "--g2", "--radius", "6"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lsurf.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(10) == b'{\n  "schem'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # a certificate that does not replay is a bug, reported as exit 1
+    assert issubclass(ReduceProgressError, InternalError)
+    monkeypatch.setattr("lsurf.reduce.apply_word", lambda P, word: P)
+    code = main(["reduce", "--point", "-141,100,1/2,0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "internal error: word replay does not reproduce the output\n"

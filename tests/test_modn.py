@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from lsurf.modn import (
     ModNVec,
     _perm_images,
+    _UnionFind,
     _valid_mask,
     act,
     component_labels,
     component_table,
     components,
-    components_unionfind,
     dense_index,
     multiplicativity_report,
     project,
@@ -79,6 +79,22 @@ def test_component_counts_match_reference():
     assert components(1)[0] == 1
     assert components(2)[0] == 5
     assert components(14)[0] == 15
+
+
+def components_unionfind(N, proto=None):
+    """Component count via union-find over explicit edges: an independent
+    cross-check of the label propagation in ``components``."""
+    proto = proto if proto is not None else prototype(8, 0)
+    if N == 1:
+        return 1
+    size = N**4
+    uf = _UnionFind(size)
+    imgA, _, imgB, _ = _perm_images(N, proto)
+    for i in range(size):
+        uf.union(i, int(imgA[i]))
+        uf.union(i, int(imgB[i]))
+    mask = _valid_mask(N)
+    return len({uf.find(i) for i in range(size) if mask[i]})
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7, 8])

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,7 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lsurf.quadfield import FieldSpec, QuadNum, parse_quadnum, qmax, qmin, reduce_mod
+from lsurf.quadfield import (
+    FieldSpec,
+    QuadNum,
+    floor_sqrt,
+    parse_quadnum,
+    qmax,
+    qmin,
+    reduce_mod,
+    sign_sqrt,
+)
 
 SQRT2 = FieldSpec(F(2), F(0))
 GOLDEN = FieldSpec(F(1), F(1))
@@ -135,6 +145,40 @@ def test_floor_bounds(a):
 def test_float_shadow(a):
     shadow = float(a.r) + float(a.i) * (2.0**0.5)
     assert abs(float(a) - shadow) <= 1e-9 * (1 + abs(shadow))
+
+
+# -- the integer primitives on Pell pairs ---------------------------------------
+
+
+def pell_pairs(m, lower=10**16):
+    """Pairs (x, y) with x*x - m*y*y = +-1 and x > lower: powers of the
+    smallest solution (x0 + y0*sqrt(m))^n, multiplied out in integers."""
+    y0 = next(y for y in range(1, 10**4) if math.isqrt(m * y * y + 1) ** 2 in (m * y * y + 1, m * y * y - 1))
+    x0 = math.isqrt(m * y0 * y0 + 1)
+    x, y, out = x0, y0, []
+    while len(out) < 4:
+        if x > lower:
+            out.append((x, y))
+        x, y = x * x0 + m * y * y0, x * y0 + y * x0
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 5, 8, 12, 13, 17, 41])
+def test_integer_primitives_on_pell_pairs(m):
+    # x - y*sqrt(m) = (x*x - m*y*y)/(x + y*sqrt(m)) is +-1/(2x) or so: far
+    # below float64 resolution at x > 10^16, where the float difference of
+    # x and y*sqrt(m) is zero or of the wrong sign
+    float_wrong = 0
+    for x, y in pell_pairs(m):
+        norm = x * x - m * y * y
+        assert norm in (1, -1)
+        assert sign_sqrt(x, -y, m) == norm and sign_sqrt(-x, y, m) == -norm
+        # y*sqrt(m) = sqrt(x*x - norm) lies in (x - 1, x) or in (x, x + 1)
+        assert floor_sqrt(0, y, m, 1) == (x - 1 if norm == 1 else x)
+        assert floor_sqrt(0, -y, m, 1) == (-x if norm == 1 else -x - 1)
+        assert floor_sqrt(x, -y, m, 1) == (0 if norm == 1 else -1)
+        float_wrong += (float(x) - float(y) * math.sqrt(m) > 0) != (norm > 0)
+    assert float_wrong > 0
 
 
 # -- reduce_mod ---------------------------------------------------------------

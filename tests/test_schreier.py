@@ -40,6 +40,16 @@ def test_radius_zero_ball(L8):
     assert ball.order() == 1 and ball.frontier == {P.key}
 
 
+@pytest.mark.parametrize("build", ["expand_ball", "build_G2"])
+def test_negative_radius_rejected(L8, build):
+    P = pt(L8, F(1, 3), F(1, 3), F(1, 2), 0)
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        if build == "expand_ball":
+            expand_ball(P, SINGLE_STEPS, -1)
+        else:
+            build_G2(P, radius=-1)
+
+
 def test_loop_at_periodic_point_with_threshold_exponents(L8):
     P = pt(L8, F(1, 3), F(1, 3), F(1, 2), 0)  # B-periodic, not A-periodic
     th = thresholds(L8, n_value(P))

@@ -1,13 +1,16 @@
 import importlib
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from lsurf.quadfield import QuadNum
+from lsurf.quadfield import QuadNum, reduce_mod
 from lsurf.sampling import sample_a_periodic_point, sample_b_periodic_point, sample_point
 from lsurf.surface import (
     GeneratorWord,
+    InternalError,
     InvalidPointError,
     SurfacePoint,
     apply,
@@ -19,6 +22,7 @@ from lsurf.surface import (
     is_A_periodic,
     is_B_periodic,
     n_value,
+    numerator_window,
     parse_point,
     parse_word,
     prototype,
@@ -380,3 +384,142 @@ def test_word_preserves_denominator(L8, rng):
             for _ in range(12)
         ]
         assert n_value(apply_word(P, GeneratorWord(letters))) == n_value(P)
+
+
+# -- the integer kernel against the QuadNum oracle ----------------------------------
+#
+# The oracle is the earlier QuadNum implementation of the point constructor
+# and of the generator twist, kept here verbatim in substance.
+
+
+def oracle_point(proto, x, y):
+    """Canonical (x, y) of a QuadNum point, or InvalidPointError."""
+    if y.sign() < 0:
+        raise InvalidPointError("y < 0")
+    if (y - 1).sign() <= 0:
+        if x.sign() < 0 or (x - proto.p_low).sign() >= 0:
+            raise InvalidPointError("x outside [0, p_low)")
+    else:
+        if (y - proto.p_left).sign() >= 0:
+            raise InvalidPointError("y outside [0, p_left)")
+        if x.sign() < 0 or (x - 1).sign() >= 0:
+            raise InvalidPointError("x outside [0, 1) in the upper cylinder")
+    if (x.is_zero() and y.is_zero()) or (x == 1 and y == 1):
+        raise InvalidPointError("singular corner")
+    if y == 1 and (x - 1).sign() > 0:
+        y = proto.field.from_rational(0)
+    return x, y
+
+
+def oracle_twist(u, v, n, period):
+    off = u - 1
+    if off.sign() <= 0:
+        return reduce_mod(v + u * period * n, period)[1]
+    return reduce_mod(v + off * period * n, u.field.one)[1]
+
+
+def oracle_apply(P, gen, n):
+    x, y = P.x, P.y
+    if gen == "A":
+        y = oracle_twist(x, y, n, P.proto.p_left)
+    else:
+        x = oracle_twist(y, x, n, P.proto.p_low)
+    x, y = oracle_point(P.proto, x, y)
+    return x.r, x.i, y.r, y.i
+
+
+def numerator_grid(proto, rng):
+    """(N, a, b, c, d) around the polygon's edges: every tuple near the
+    origin at N = 1 (both singular corners, x = 1, y = 1 and the top edge),
+    then seeded draws at N = 2..6 on and next to the ends of the numerator
+    windows of [0, 1), [0, p_low) and [0, p_left), with common factors."""
+    yield from ((1, a, b, c, d) for a, b, c, d in itertools.product(range(-1, 4), range(-1, 2), repeat=2))
+    for _ in range(800):
+        N = rng.randint(2, 6)
+        b, d = rng.randint(-2 * N, 2 * N), rng.randint(-2 * N, 2 * N)
+        ends = []
+        for period, i in ((proto.field.one, b), (proto.p_low, b), (proto.field.one, d), (proto.p_left, d)):
+            window = numerator_window(period, N, i)
+            ends.append([t + s for t in (window.start, window.stop) for s in (-1, 0)])
+        a = rng.choice(ends[0] + ends[1])
+        c = rng.choice(ends[2] + ends[3] + [N])
+        g = rng.choice((1, 1, 1, 2, 3))
+        yield g * N, g * a, g * b, g * c, g * d
+
+
+def test_numerator_constructor_matches_oracle():
+    rng = random.Random("numerator-grid")
+    outcomes = set()
+    for D, eps in ALL_SURFACES:
+        proto = prototype(D, eps)
+        for N, a, b, c, d in numerator_grid(proto, rng):
+            try:
+                want = oracle_point(proto, *(QuadNum(F(r, N), F(i, N), proto.field) for r, i in ((a, b), (c, d))))
+            except InvalidPointError:
+                want = None
+            try:
+                P = SurfacePoint(proto, N, a, b, c, d)
+            except InvalidPointError:
+                got = None
+            else:
+                got = P.key  # stored in lowest terms over the least common denominator
+                assert P.N == math.lcm(*(t.denominator for t in got)) and math.gcd(P.N, P.a, P.b, P.c, P.d) == 1
+            assert got == (None if want is None else (want[0].r, want[0].i, want[1].r, want[1].i)), (
+                proto.name, (N, a, b, c, d))
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def _differential_points(proto, rng):
+    """1,600 seeded points: the grid's valid points (the edges), the
+    periodic samplers' far- and near-cylinder points, then general points
+    drawn from the numerator windows."""
+    points = []
+    for numerators in numerator_grid(proto, rng):
+        try:
+            points.append(SurfacePoint(proto, *numerators))
+        except InvalidPointError:
+            pass
+    for _ in range(150):
+        N = rng.randint(1, 8)
+        points.append(sample_a_periodic_point(proto, N, rng, b_periodic=None))
+        points.append(sample_b_periodic_point(proto, N, rng, a_periodic=None))
+    while len(points) < 1600:
+        N, box = rng.randint(1, 12), rng.choice((40, 400))
+        b, d = rng.randint(-box, box), rng.randint(-box, box)
+        a = rng.choice(numerator_window(proto.p_low, N, b))
+        c = rng.choice(numerator_window(proto.p_left, N, d))
+        try:
+            points.append(SurfacePoint(proto, N, a, b, c, d))
+        except InvalidPointError:
+            pass
+    return points
+
+
+@pytest.mark.parametrize("D,eps", ALL_SURFACES)
+def test_integer_actions_match_quadnum_oracle(D, eps):
+    proto = prototype(D, eps)
+    rng = random.Random(f"differential:{proto.name}")
+    points = _differential_points(proto, rng)
+    assert len(points) >= 1500
+    # the edge cases are all present: y = 1, x = 1, both far cylinders and
+    # the top edge (y = 1 with x > 1, stored as y = 0)
+    assert any(P.c == P.N and P.d == 0 for P in points)
+    assert any(P.a == P.N and P.b == 0 for P in points)
+    assert any((P.x - 1).sign() > 0 for P in points) and any((P.y - 1).sign() > 0 for P in points)
+    r, i = proto.wiring["B"].near.q  # x = (1 + p_low)/2 on the top edge
+    assert SurfacePoint(proto, 2, 1 + r, i, 2, 0).c == 0
+    # one oracle twist per point, cycling through A and B at +-1 and at
+    # +-the threshold exponent k (A) or l (B)
+    for j, P in enumerate(points):
+        gen = "AB"[j % 2]
+        big = getattr(thresholds(proto, P.N), "kl"[j % 2])
+        n = (1, -1, big, -big)[j // 2 % 4]
+        assert apply(P, gen, n).key == oracle_apply(P, gen, n), (P, gen, n)
+
+
+def test_twist_remainder_postcondition(L8, monkeypatch):
+    # a wrong floor leaves the remainder outside [0, period)
+    monkeypatch.setattr(type(L8), "quotient", lambda self, *args: 0)
+    with pytest.raises(InternalError):
+        apply_A(pt(L8, F(1, 2), 0, F(1, 2), 0), 5)
