@@ -220,18 +220,18 @@ def orbit_class_bracket(
     pts = enumerate_S(N, proto, max_points)
     excluded = []
     vertices: list[SurfacePoint] = []
-    for key, point in pts.items():
+    for point in pts.values():
         if is_A_periodic(point) and is_B_periodic(point):
             excluded.append(str(point))
         else:
             vertices.append(point)
-    index = {p.key: i for i, p in enumerate(vertices)}
+    index = {p: i for i, p in enumerate(vertices)}
 
     uf = _UnionFind(len(vertices))
     for i, point in enumerate(vertices):
         for gen, exp in (("A", 1), ("A", -1), ("B", 1), ("B", -1)):
             out = reduce_point(apply(point, gen, exp)).output
-            j = index.get(out.key)
+            j = index.get(out)
             if j is None:
                 raise InternalError(f"reduction left the enumerated set: {out}")
             uf.union(i, j)

@@ -1,10 +1,11 @@
 """Orbit balls of the generator action and their component-shape certificates.
 
-Vertices are canonical surface points keyed by their exact coordinate
-quadruple, so deduplication is collision-free.  A ball of finite radius can
-only certify the *local* structure a component is predicted to have (4-valent
-tree, or the same tree with one loop at a singly periodic root); the verdict
-is evidence about the infinite component, not a proof.
+Vertices are the canonical surface points themselves, hashed and compared
+by their integer numerators (N; a, b, c, d), so deduplication is exact.  A
+ball of finite radius can only certify the *local* structure a component is
+predicted to have (4-valent tree, or the same tree with one loop at a singly
+periodic root); the verdict is evidence about the infinite component, not a
+proof.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .surface import (
     thresholds,
 )
 
-VertexKey = tuple[Fraction, Fraction, Fraction, Fraction]
 GenPower = tuple[str, int]
 
 TREE4 = "Tree4"
@@ -50,46 +50,45 @@ def _gen_order(gens: list[GenPower] | tuple[GenPower, ...]) -> tuple[GenPower, .
 
 @dataclass
 class OrbitGraph:
-    """Finite labeled ball of the orbit graph around a root point."""
+    """Finite labeled ball of the orbit graph; ``depth`` lists its vertices in BFS order."""
 
     proto: SurfaceProto
     gens: tuple[GenPower, ...]
-    root: VertexKey
-    points: dict[VertexKey, SurfacePoint] = field(default_factory=dict)
-    depth: dict[VertexKey, int] = field(default_factory=dict)
-    edges: list[tuple[VertexKey, VertexKey, GenPower]] = field(default_factory=list)
-    expanded: set[VertexKey] = field(default_factory=set)
-    frontier: set[VertexKey] = field(default_factory=set)
+    root: SurfacePoint
+    depth: dict[SurfacePoint, int] = field(default_factory=dict)
+    edges: list[tuple[SurfacePoint, SurfacePoint, GenPower]] = field(default_factory=list)
+    expanded: set[SurfacePoint] = field(default_factory=set)
+    frontier: set[SurfacePoint] = field(default_factory=set)
     g2: bool = False
     N: int | None = None
     partial: bool = False
 
     def order(self) -> int:
-        return len(self.points)
+        return len(self.depth)
 
-    def simple_adjacency(self) -> dict[VertexKey, set[VertexKey]]:
+    def simple_adjacency(self) -> dict[SurfacePoint, set[SurfacePoint]]:
         """Undirected simple view: loops and edge multiplicities dropped."""
-        adj: dict[VertexKey, set[VertexKey]] = {v: set() for v in self.points}
+        adj: dict[SurfacePoint, set[SurfacePoint]] = {v: set() for v in self.depth}
         for u, v, _ in self.edges:
             if u != v:
                 adj[u].add(v)
                 adj[v].add(u)
         return adj
 
-    def loop_vertices(self) -> dict[VertexKey, list[GenPower]]:
-        loops: dict[VertexKey, list[GenPower]] = {}
+    def loop_vertices(self) -> dict[SurfacePoint, list[GenPower]]:
+        loops: dict[SurfacePoint, list[GenPower]] = {}
         for u, v, g in self.edges:
             if u == v:
                 loops.setdefault(u, []).append(g)
         return loops
 
-    def s_of(self, key: VertexKey) -> Fraction:
-        return s_value(self.points[key])
+    def s_of(self, v: SurfacePoint) -> Fraction:
+        return s_value(v)
 
     # -- export ------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        ids = {key: n for n, key in enumerate(self.points)}
+        ids = {v: n for n, v in enumerate(self.depth)}
         return {
             "schema": "lsurf-graph-v1",
             "surface": self.proto.name,
@@ -99,13 +98,13 @@ class OrbitGraph:
             "gens": [[g, e] for g, e in self.gens],
             "vertices": [
                 {
-                    "id": ids[key],
-                    "point": ",".join(str(c) for c in key),
-                    "depth": self.depth[key],
-                    "s": str(self.s_of(key)),
-                    "frontier": key in self.frontier,
+                    "id": ids[v],
+                    "point": str(v),
+                    "depth": d,
+                    "s": str(s_value(v)),
+                    "frontier": v in self.frontier,
                 }
-                for key in self.points
+                for v, d in self.depth.items()
             ],
             "edges": [
                 {"src": ids[u], "dst": ids[v], "gen": g, "exp": e}
@@ -114,12 +113,11 @@ class OrbitGraph:
         }
 
     def to_dot(self) -> str:
-        ids = {key: n for n, key in enumerate(self.points)}
+        ids = {v: n for n, v in enumerate(self.depth)}
         lines = ["graph orbitball {"]
-        for key in self.points:
-            label = ",".join(str(c) for c in key)
-            shape = "doublecircle" if key == self.root else "circle"
-            lines.append(f'  v{ids[key]} [label="{label}", shape={shape}];')
+        for v, n in ids.items():
+            shape = "doublecircle" if v == self.root else "circle"
+            lines.append(f'  v{n} [label="{v}", shape={shape}];')
         for u, v, (g, e) in self.edges:
             lines.append(f'  v{ids[u]} -- v{ids[v]} [label="{g}^{e}"];')
         lines.append("}")
@@ -136,34 +134,30 @@ def _bfs(ball: OrbitGraph, P: SurfacePoint, radius: int, max_vertices: int) -> O
     vertex periodic under both generators."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    ball.points[P.key] = P
-    ball.depth[P.key] = 0
-    queue = deque([P.key])
+    ball.depth[P] = 0
+    queue = deque([P])
     while queue:
-        key = queue.popleft()
-        d = ball.depth[key]
+        point = queue.popleft()
+        d = ball.depth[point]
         if d >= radius:
-            ball.frontier.add(key)
+            ball.frontier.add(point)
             continue
-        point = ball.points[key]
         for gen in ball.gens:
             img = apply(point, *gen)
             if ball.g2 and _jointly_periodic(img):
                 # cannot happen unless the start itself were pruned: a pruned
                 # point is fixed by these powers, and the powers are invertible
-                raise InternalError(f"pruned vertex reached from {key}")
-            ikey = img.key
-            if ikey not in ball.points:
-                if len(ball.points) >= max_vertices:
+                raise InternalError(f"pruned vertex reached from {point.key}")
+            if img not in ball.depth:
+                if len(ball.depth) >= max_vertices:
                     ball.partial = True
                     raise ResourceCapError(
                         f"ball exceeded {max_vertices} vertices", partial=ball
                     )
-                ball.points[ikey] = img
-                ball.depth[ikey] = d + 1
-                queue.append(ikey)
-            ball.edges.append((key, ikey, gen))
-        ball.expanded.add(key)
+                ball.depth[img] = d + 1
+                queue.append(img)
+            ball.edges.append((point, img, gen))
+        ball.expanded.add(point)
     return ball
 
 
@@ -174,7 +168,7 @@ def expand_ball(
     max_vertices: int = 200_000,
 ) -> OrbitGraph:
     """BFS ball of the given radius; vertices deduplicated by exact coordinates."""
-    ball = OrbitGraph(proto=P.proto, gens=_gen_order(gens), root=P.key)
+    ball = OrbitGraph(proto=P.proto, gens=_gen_order(gens), root=P)
     return _bfs(ball, P, radius, max_vertices)
 
 
@@ -182,16 +176,16 @@ def find_non_excluded_start(P: SurfacePoint, search_radius: int = 4) -> SurfaceP
     """Nearest orbit point not periodic under both generators (single steps)."""
     if not _jointly_periodic(P):
         return P
-    seen = {P.key}
+    seen = {P}
     layer = [P]
     for _ in range(search_radius):
         nxt = []
         for Q in layer:
             for gen in (("A", 1), ("A", -1), ("B", 1), ("B", -1)):
                 img = apply(Q, *gen)
-                if img.key in seen:
+                if img in seen:
                     continue
-                seen.add(img.key)
+                seen.add(img)
                 if not _jointly_periodic(img):
                     return img
                 nxt.append(img)
@@ -220,7 +214,7 @@ def build_G2(
         N = n_value(P)
     th = thresholds(P.proto, N)
     gens: tuple[GenPower, ...] = (("A", th.k), ("A", -th.k), ("B", th.l), ("B", -th.l))
-    ball = OrbitGraph(proto=P.proto, gens=_gen_order(gens), root=P.key, g2=True, N=N)
+    ball = OrbitGraph(proto=P.proto, gens=_gen_order(gens), root=P, g2=True, N=N)
     return _bfs(ball, P, radius, max_vertices)
 
 
@@ -231,7 +225,7 @@ class ComponentShape:
     kind: str
     witness: OrbitGraph
     violations: list[str]
-    loop_vertex: VertexKey | None = None
+    loop_vertex: SurfacePoint | None = None
 
 
 def _expected_loop(point: SurfacePoint) -> str | None:
@@ -253,17 +247,18 @@ def classify_component(ball: OrbitGraph) -> ComponentShape:
     """
     violations: list[str] = []
     loops = ball.loop_vertices()
-    loop_vertex: VertexKey | None = None
+    loop_vertex: SurfacePoint | None = None
 
+    # violations name vertices by their Fraction coordinate quadruple
     if len(loops) > 1:
-        violations.append(f"{len(loops)} looped vertices: {sorted(loops)[:2]}...")
+        violations.append(f"{len(loops)} looped vertices: {sorted(v.key for v in loops)[:2]}...")
     for v, gens_at_v in loops.items():
         loop_vertex = v
-        expected = _expected_loop(ball.points[v])
+        expected = _expected_loop(v)
         if expected is None:
-            violations.append(f"loop at a vertex periodic under neither/both: {v}")
+            violations.append(f"loop at a vertex periodic under neither/both: {v.key}")
         elif any(g != expected for g, _ in gens_at_v):
-            violations.append(f"loop labels {gens_at_v} at {v} not all {expected}")
+            violations.append(f"loop labels {gens_at_v} at {v.key} not all {expected}")
 
     # acyclicity of the simple view (ball is connected by construction)
     adj = ball.simple_adjacency()
@@ -271,28 +266,28 @@ def classify_component(ball: OrbitGraph) -> ComponentShape:
     if n_edges != ball.order() - 1:
         violations.append(f"simple view has {n_edges} edges on {ball.order()} vertices")
 
-    out_edges: dict[VertexKey, dict[GenPower, VertexKey]] = {}
+    out_edges: dict[SurfacePoint, dict[GenPower, SurfacePoint]] = {}
     for u, v, gen in ball.edges:
         out_edges.setdefault(u, {})[gen] = v
 
-    for key in ball.expanded:
-        point = ball.points[key]
-        images = out_edges.get(key, {})
-        non_loop = [v for v in images.values() if v != key]
+    for point in (v for v in ball.depth if v in ball.expanded):  # in BFS order
+        key = point.key
+        images = out_edges.get(point, {})
+        non_loop = [v for v in images.values() if v != point]
         distinct = set(non_loop)
         if len(distinct) != len(non_loop):
             violations.append(f"parallel edges at {key}")
         periodic_gen = _expected_loop(point)
-        if key not in loops and periodic_gen is not None and ball.g2:
+        if point not in loops and periodic_gen is not None and ball.g2:
             violations.append(f"singly periodic vertex {key} misses its loop")
-        want_degree = 2 if key in loops else 4
+        want_degree = 2 if point in loops else 4
         if len(distinct) != want_degree:
             violations.append(
                 f"vertex {key} has {len(distinct)} distinct neighbors, wanted {want_degree}"
             )
         s_here = s_value(point)
-        non_increasing = [v for v in distinct if ball.s_of(v) <= s_here]
-        if key in loops:
+        non_increasing = [v for v in distinct if s_value(v) <= s_here]
+        if point in loops:
             if non_increasing:
                 violations.append(f"periodic vertex {key} has non-growing neighbors")
         elif len(non_increasing) > 1:
@@ -309,12 +304,12 @@ def root_paths_strictly_increasing(ball: OrbitGraph) -> bool:
     """True iff the complexity grows strictly along every tree edge away from
     the root (equivalently along every non-backtracking root path in a tree
     ball).  Holds whenever the root is the component's periodic vertex."""
-    parent: dict[VertexKey, VertexKey] = {}
+    parent: dict[SurfacePoint, SurfacePoint] = {}
     for u, v, _ in ball.edges:
         if u != v and v not in parent and ball.depth[v] == ball.depth[u] + 1:
             parent[v] = u
-    for key, p in parent.items():
-        if not ball.s_of(key) > ball.s_of(p):
+    for v, p in parent.items():
+        if not s_value(v) > s_value(p):
             return False
     return True
 

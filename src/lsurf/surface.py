@@ -268,9 +268,9 @@ class SurfacePoint:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SurfacePoint):
             return NotImplemented
-        return self.proto == other.proto and (self.N, self.a, self.b, self.c, self.d) == (
+        return (self.N, self.a, self.b, self.c, self.d) == (
             other.N, other.a, other.b, other.c, other.d
-        )
+        ) and (self.proto is other.proto or self.proto == other.proto)
 
     def __hash__(self) -> int:
         return hash((self.N, self.a, self.b, self.c, self.d))

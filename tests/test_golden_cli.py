@@ -29,6 +29,11 @@ for _s in SURFACES:
     CASES[f"g2-dot {_s}"] = CASES[f"g2-json {_s}"] + ["--dot", "{dot}", "--json", "{json}"]
     CASES[f"classify {_s}"] = ["classify", "--surface", _s, "--point", POINT]
     CASES[f"verify-lemmas {_s}"] = ["verify-lemmas", "--surface", _s, "--samples", "40", "--seed", "3"]
+# larger balls that merge many paths: POINT is doubly non-periodic on L8, so its
+# single-step ball has cycles (1,076 vertices where the tree has 1,457)
+CASES["explore cycles L8"] = ["explore", "--point", POINT, "--radius", "6"]
+for _s in ("L5-1", "L17+1"):
+    CASES[f"classify r5 {_s}"] = ["classify", "--surface", _s, "--point", POINT, "--radius", "5"]
 
 GOLDEN = {
     "classify L12": "864d63700c33c8afa5a45c2ebcac284395447e55b4289e5bf02253379635f2ef",
@@ -37,8 +42,11 @@ GOLDEN = {
     "classify L41+1": "fdeb1a6069c8c3ca0b41257ce0267dfcb4c1b2be82931141e9640f9085c0329c",
     "classify L5-1": "624cb1cc983b8c626a4edf1149557bed238c47745e2e1c8336fa5d1dafc761ff",
     "classify L8": "c34c545eef36025e6ab003e9385074b0189a6aae9e6447ca02fdba1a04383d62",
+    "classify r5 L17+1": "b49460a3b51734b3403cf3705b5ff2adf35fb4952b32b4351bb6b6649fa79fd0",
+    "classify r5 L5-1": "413ee5d9b1a6ce41b2d8cb0c6e9ff3890c068cc117afdf2019ee756c41f6252d",
     "components": "e61aa496cc47b4fdbd56555fae7723d218a508c32c5c4e5812ecc538393370a9",
     "explore": "b57f907c708ab36e4a787d034ae22d383e7857a801179bec8f203d3801fd8a7a",
+    "explore cycles L8": "6a1cfaf64d2e3658b0dbbb10dfcabe1945ca8b36204f722dae5d60f1e049b016",
     "g2-dot L12": "6883ae9f7a24315400f1922e3d7d65bee2fd28199ef9690ba9fec870aac8305c",
     "g2-dot L13-1": "663d60876c8ab08f11a2ca41681fcab63e96d65a599a94690475c15b308e8683",
     "g2-dot L17+1": "6e7334c9b9e53cd6561c19220a5d70ae6f12f9d427d8fea4a7aba362b97b27e8",

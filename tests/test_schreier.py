@@ -22,7 +22,7 @@ from lsurf.schreier import (
     root_paths_strictly_increasing,
     tree_cheeger_profile,
 )
-from lsurf.surface import SurfacePoint, n_value, thresholds
+from lsurf.surface import SurfacePoint, apply, n_value, thresholds
 
 SINGLE_STEPS = [("A", 1), ("A", -1), ("B", 1), ("B", -1)]
 
@@ -37,7 +37,7 @@ def pt(proto, xr, xi, yr, yi):
 def test_radius_zero_ball(L8):
     P = pt(L8, F(1, 3), F(1, 3), F(1, 2), 0)
     ball = expand_ball(P, SINGLE_STEPS, 0)
-    assert ball.order() == 1 and ball.frontier == {P.key}
+    assert ball.order() == 1 and ball.frontier == {P}
 
 
 @pytest.mark.parametrize("build", ["expand_ball", "build_G2"])
@@ -55,8 +55,8 @@ def test_loop_at_periodic_point_with_threshold_exponents(L8):
     th = thresholds(L8, n_value(P))
     ball = expand_ball(P, [("A", th.k), ("A", -th.k), ("B", th.l), ("B", -th.l)], 1)
     loops = ball.loop_vertices()
-    assert set(loops) == {P.key}
-    assert all(g == "B" for g, _ in loops[P.key])
+    assert set(loops) == {P}
+    assert all(g == "B" for g, _ in loops[P])
 
 
 def test_radius2_vertex_bound(L8, rng):
@@ -97,13 +97,13 @@ def test_g2_ball_from_periodic_root(L8):
     ball = build_G2(P, radius=3)
     shape = classify_component(ball)
     assert shape.kind == ROOT_LOOPED4
-    assert shape.loop_vertex == P.key
+    assert shape.loop_vertex == P
     assert root_paths_strictly_increasing(ball)
     # all expanded vertices have simple-view degree 4 except the looped root
     adj = ball.simple_adjacency()
-    for key in ball.expanded:
-        want = 2 if key == P.key else 4
-        assert len(adj[key]) == want
+    for v in ball.expanded:
+        want = 2 if v == P else 4
+        assert len(adj[v]) == want
 
 
 def test_g2_ball_from_generic_root(L8):
@@ -133,30 +133,80 @@ def test_find_non_excluded_start_raises_on_fixed_points(L8):
             find_non_excluded_start(P)
 
 
-def test_classify_flags_cycle():
-    # hand-built 4-cycle disguised as a ball: negative control
-    import lsurf.schreier as sch
-    from lsurf.surface import prototype
+def _hand_ball(proto, depth, edges, expanded=(), g2=False):
+    """Ball built by hand on points; ``depth`` lists them root first."""
+    ball = OrbitGraph(proto=proto, gens=(("A", 1), ("B", 1)), root=next(iter(depth)), g2=g2)
+    ball.depth = dict(depth)
+    ball.edges = list(edges)
+    ball.expanded = set(expanded)
+    return ball
 
-    proto = prototype(8, 0)
-    keys = [(F(i), F(0), F(0), F(0)) for i in range(4)]
-    ball = OrbitGraph(proto=proto, gens=(("A", 1), ("B", 1)), root=keys[0])
-    pts = [pt(proto, F(1, 2), F(i + 1, 7), F(1, 3), F(1, 7)) for i in range(4)]
-    for key, point in zip(keys, pts):
-        ball.points[key] = point
-        ball.depth[key] = 0
-    ball.depth[keys[1]] = ball.depth[keys[3]] = 1
-    ball.depth[keys[2]] = 2
-    ball.edges = [
-        (keys[0], keys[1], ("A", 1)),
-        (keys[1], keys[2], ("B", 1)),
-        (keys[2], keys[3], ("A", 1)),
-        (keys[3], keys[0], ("B", 1)),
-    ]
-    ball.expanded = set()
-    shape = sch.classify_component(ball)
+
+def _flagged(ball, message):
+    """Other verdict whose violations include the message, which names its
+    vertices by their Fraction coordinate quadruple."""
+    shape = classify_component(ball)
+    assert shape.kind == OTHER
+    assert message in shape.violations, shape.violations
+    assert "Fraction(" in message
+
+
+def test_classify_flags_cycle(L8):
+    # hand-built 4-cycle disguised as a ball: negative control
+    pts = [pt(L8, F(1, 2), F(i + 1, 7), F(1, 3), F(1, 7)) for i in range(4)]
+    ball = _hand_ball(
+        L8,
+        dict(zip(pts, (0, 1, 2, 1))),
+        [
+            (pts[0], pts[1], ("A", 1)),
+            (pts[1], pts[2], ("B", 1)),
+            (pts[2], pts[3], ("A", 1)),
+            (pts[3], pts[0], ("B", 1)),
+        ],
+    )
+    shape = classify_component(ball)
     assert shape.kind == OTHER
     assert any("edges" in v for v in shape.violations)
+
+
+# B-periodic, not A-periodic (y_i = 0, x_i != 0), and a doubly non-periodic point
+B_PERIODIC = ((F(1, 3), F(1, 3), F(1, 2), 0), (F(1, 5), F(1, 5), F(1, 2), 0))
+GENERIC = (F(1, 5), F(1, 5), F(2, 5), F(1, 5))
+
+
+def test_classify_flags_two_looped_vertices(L8):
+    P, Q = (pt(L8, *c) for c in B_PERIODIC)
+    ball = _hand_ball(
+        L8, {P: 0, Q: 1}, [(P, P, ("B", 1)), (P, Q, ("A", 1)), (Q, Q, ("B", 1))]
+    )
+    _flagged(ball, f"2 looped vertices: {sorted([P.key, Q.key])}...")
+
+
+def test_classify_flags_loop_labels(L8):
+    P = pt(L8, *B_PERIODIC[0])
+    _flagged(
+        _hand_ball(L8, {P: 0}, [(P, P, ("A", 1))]),
+        f"loop labels [('A', 1)] at {P.key} not all B",
+    )
+    G = pt(L8, *GENERIC)
+    _flagged(
+        _hand_ball(L8, {G: 0}, [(G, G, ("B", 1))]),
+        f"loop at a vertex periodic under neither/both: {G.key}",
+    )
+
+
+def test_classify_flags_missing_loop(L8):
+    P = pt(L8, *B_PERIODIC[0])
+    Q = apply(P, "A", 1)
+    ball = _hand_ball(L8, {P: 0, Q: 1}, [(P, Q, ("A", 1))], expanded={P}, g2=True)
+    _flagged(ball, f"singly periodic vertex {P.key} misses its loop")
+
+
+def test_classify_flags_parallel_edges(L8):
+    G = pt(L8, *GENERIC)
+    Q = apply(G, "A", 1)
+    ball = _hand_ball(L8, {G: 0, Q: 1}, [(G, Q, ("A", 1)), (G, Q, ("B", 1))], expanded={G})
+    _flagged(ball, f"parallel edges at {G.key}")
 
 
 # -- Cheeger ----------------------------------------------------------------------
