@@ -7,7 +7,7 @@ modulo 1) subtract integer multiples of it, which vanish mod N.  So each
 generator acts through the integer block of the exact action,
 ``SurfaceProto.wiring[gen].block`` (in ``lsurf.surface``), reduced mod N.
 The number of connected components C(N) of the resulting graph, found by
-vectorized label propagation, bounds the orbit count from below.
+vectorized orbit search, bounds the orbit count from below.
 """
 
 from __future__ import annotations
@@ -82,35 +82,28 @@ def project(P: SurfacePoint) -> ModNVec:
 # -- component counting -----------------------------------------------------
 
 
-def _digits(idx, N: int):
-    """(a, b, c, d) of a dense (Z/N)^4 index, on ints or on numpy arrays."""
-    return idx // N**3, (idx // N**2) % N, (idx // N) % N, idx % N
-
-
-def _perm_images(N: int, proto: SurfaceProto) -> list[np.ndarray]:
-    """Dense index permutations for A, A^-1, B, B^-1 over all of (Z/N)^4."""
+def _perm_images(N: int, proto: SurfaceProto) -> tuple[np.ndarray, np.ndarray]:
+    """Dense int32 images of A and B over all of (Z/N)^4; the digits are
+    broadcast views, so only the encoded image is full size."""
     mA, mB = (proto.wiring[gen].block for gen in "AB")
-    a, b, c, d = _digits(np.arange(N**4, dtype=np.int64), N)
+    a, b, c, d = np.ogrid[:N, :N, :N, :N]
 
-    def enc(a_, b_, c_, d_):
-        return ((a_ * N + b_) * N + c_) * N + d_
+    def enc(*digits):
+        out = np.zeros((N,) * 4, dtype=np.int32)
+        for digit, place in zip(digits, (N**3, N**2, N, 1)):
+            out += digit * place
+        return out.ravel()
 
-    return [enc(a, b, *_moved(mA, s, a, b, c, d, N)) for s in (1, -1)] + [
-        enc(*_moved(mB, s, c, d, a, b, N), c, d) for s in (1, -1)
-    ]
-
-
-def _valid_mask(N: int) -> np.ndarray:
-    a, b, c, d = _digits(np.arange(N**4, dtype=np.int64), N)
-    return np.gcd(np.gcd(np.gcd(a, b), np.gcd(c, d)), N) == 1
+    return enc(a, b, *_moved(mA, 1, a, b, c, d, N)), enc(*_moved(mB, 1, c, d, a, b, N), c, d)
 
 
 _MAX_VERTICES = 2 * 10**7
 
 
 def _check_cap(N: int, max_vertices: int) -> None:
-    if N**4 > max_vertices:
-        raise ModNResourceError(f"{N}^4 = {N**4} vertices exceeds cap {max_vertices}")
+    cap = min(max_vertices, 2**31 - 1)  # dense indices and labels are int32
+    if N**4 > cap:
+        raise ModNResourceError(f"{N}^4 = {N**4} vertices exceeds cap {cap}")
 
 
 def components(
@@ -120,21 +113,20 @@ def components(
 
     Returns the count and one representative per component (smallest vector
     in lexicographic order).  Undirected closure: inverse edges included.
-    The N**4 dense vertices cost about 82 bytes each at peak (measured at
-    N = 24..44), so the default cap admits N <= 66, about 1.6 GB; the cap is
+    The N**4 dense vertices cost about 14 bytes each at peak (measured at
+    N = 24..44), so the default cap admits N <= 66, about 0.28 GB; the cap is
     checked before anything is allocated.
     """
     proto = proto if proto is not None else _L8
     if N < 1:
         raise ValueError("N must be >= 1")
     _check_cap(N, max_vertices)
-    if N == 1:
-        return 1, [ModNVec(1, 0, 0, 0, 0)]
     labels = component_labels(N, proto)
-    mask = _valid_mask(N)
-    roots = np.unique(labels[mask])
-    reps = [ModNVec(N, *(int(x) for x in _digits(r, N))) for r in roots]
-    return len(roots), reps
+    roots = np.flatnonzero(labels == np.arange(labels.size, dtype=labels.dtype))
+    # gcd(v, N) is an orbit invariant: a component is valid iff its root is
+    vecs = np.transpose(np.unravel_index(roots, (N,) * 4)).tolist()
+    reps = [ModNVec(N, *v) for v in vecs if gcd(*v, N) == 1]
+    return len(reps), reps
 
 
 def dense_index(v: ModNVec) -> int:
@@ -142,20 +134,28 @@ def dense_index(v: ModNVec) -> int:
 
 
 def component_labels(N: int, proto: SurfaceProto | None = None) -> np.ndarray:
-    """Label array over the dense (Z/N)^4 index; equal labels = same component."""
-    proto = proto if proto is not None else _L8
-    if N == 1:
-        return np.zeros(1, dtype=np.int64)
-    imgs = _perm_images(N, proto)
-    labels = np.arange(N**4, dtype=np.int64)
-    while True:
-        new = labels
-        for img in imgs:
-            new = np.minimum(new, labels[img])
-        new = new[new]
-        if np.array_equal(new, labels):
-            return labels
-        labels = new
+    """Label array over the dense (Z/N)^4 index: each vertex gets the smallest index
+    of its component, which is the forward orbit of that index under A and B."""
+    imgA, imgB = _perm_images(N, proto if proto is not None else _L8)
+    labels = np.full(N**4, -1, dtype=np.int32)
+    root, step = 0, 1024
+    while root < labels.size:  # a scan in doubling chunks reads O(N**4) labels
+        hits = np.flatnonzero(labels[root : root + step] < 0)
+        if not hits.size:
+            root, step = root + step, 2 * step
+            continue
+        root, step = root + int(hits[0]), 1024
+        frontier = np.array([root])
+        while frontier.size:
+            # each image is repeat-free and labelled before the next is filtered
+            level = []
+            for img in (imgA, imgB):
+                new = img[frontier].astype(np.intp)  # int32 indices are cast per use
+                new = new[labels[new] < 0]
+                labels[new] = root
+                level.append(new)
+            frontier = np.concatenate(level)
+    return labels
 
 
 class _UnionFind:

@@ -285,8 +285,8 @@ def classify_component(ball: OrbitGraph) -> ComponentShape:
             violations.append(
                 f"vertex {key} has {len(distinct)} distinct neighbors, wanted {want_degree}"
             )
-        s_here = s_value(point)
-        non_increasing = [v for v in distinct if s_value(v) <= s_here]
+        s_here = abs(point.b) + abs(point.d)  # N * s_value; the ball shares N
+        non_increasing = [v for v in distinct if abs(v.b) + abs(v.d) <= s_here]
         if point in loops:
             if non_increasing:
                 violations.append(f"periodic vertex {key} has non-growing neighbors")

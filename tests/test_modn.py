@@ -9,7 +9,6 @@ from lsurf.modn import (
     ModNVec,
     _perm_images,
     _UnionFind,
-    _valid_mask,
     act,
     component_labels,
     component_table,
@@ -64,8 +63,23 @@ def test_act_invertible(v):
         assert act(act(v, inv), gen) == v
 
 
+def _valid_mask(N):
+    a, b, c, d = np.ogrid[:N, :N, :N, :N]
+    return (np.gcd(np.gcd(np.gcd(a, b), N), np.gcd(c, d)) == 1).ravel()
+
+
 def test_vertex_count_n2():
     assert int(_valid_mask(2).sum()) == 15  # 2^4 - 1
+
+
+@pytest.mark.parametrize("N", [2, 4, 6, 9, 12])
+@pytest.mark.parametrize("D,eps", [(8, 0), (17, 1)])
+def test_valid_components_cover_valid_vertices(N, D, eps):
+    """``components`` tests validity at the roots only; their components
+    cover the valid vertices exactly."""
+    proto = prototype(D, eps)
+    roots = [dense_index(r) for r in components(N, proto)[1]]
+    assert np.array_equal(np.isin(component_labels(N, proto), roots), _valid_mask(N))
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
@@ -73,6 +87,20 @@ def test_generators_are_permutations(N):
     for D, eps in [(8, 0), (5, -1), (17, 1)]:
         for img in _perm_images(N, prototype(D, eps)):
             assert np.array_equal(np.sort(img), np.arange(N**4))
+
+
+PROTOS = [(8, 0), (5, -1), (17, 1), (12, 0), (13, -1), (41, 1)]
+
+
+@pytest.mark.parametrize("N", [5, 6])
+@pytest.mark.parametrize("D,eps", PROTOS[:3])
+def test_inverse_images_match_act(N, D, eps):
+    proto = prototype(D, eps)
+    invs = [np.argsort(img) for img in _perm_images(N, proto)]
+    for i in np.flatnonzero(_valid_mask(N)):
+        v = ModNVec(N, *(int(x) for x in np.unravel_index(i, (N,) * 4)))
+        for gen, inv in zip(("A-1", "B-1"), invs):
+            assert inv[i] == dense_index(act(v, gen, proto))
 
 
 def test_component_counts_match_reference():
@@ -89,7 +117,7 @@ def components_unionfind(N, proto=None):
         return 1
     size = N**4
     uf = _UnionFind(size)
-    imgA, _, imgB, _ = _perm_images(N, proto)
+    imgA, imgB = _perm_images(N, proto)
     for i in range(size):
         uf.union(i, int(imgA[i]))
         uf.union(i, int(imgB[i]))
@@ -100,6 +128,34 @@ def components_unionfind(N, proto=None):
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7, 8])
 def test_two_algorithm_agreement(N):
     assert components(N)[0] == components_unionfind(N)
+
+
+def component_labels_propagation(N, proto):
+    """Min-label propagation over A, A^-1, B and B^-1 with pointer jumping:
+    an independent oracle for the orbit search of ``component_labels``."""
+    imgs = []
+    for img in _perm_images(N, proto):
+        inv = np.empty_like(img)
+        inv[img] = np.arange(N**4, dtype=img.dtype)
+        imgs += [img, inv]
+    labels = np.arange(N**4, dtype=np.int64)
+    while True:
+        new = labels
+        for img in imgs:
+            new = np.minimum(new, labels[img])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+@pytest.mark.parametrize(
+    "D,eps,N",
+    [(D, eps, N) for D, eps in PROTOS for N in range(2, 13)] + [(8, 0, 20), (8, 0, 28)],
+)
+def test_labels_match_propagation(D, eps, N):
+    proto = prototype(D, eps)
+    assert np.array_equal(component_labels(N, proto), component_labels_propagation(N, proto))
 
 
 def test_representatives_are_in_distinct_components():
@@ -132,9 +188,7 @@ def test_project_examples(L8):
     assert project(Q) == ModNVec(1, 0, 0, 0, 0)
 
 
-@pytest.mark.parametrize(
-    "D,eps", [(8, 0), (5, -1), (17, 1), (12, 0), (13, -1), (41, 1)]
-)
+@pytest.mark.parametrize("D,eps", PROTOS)
 def test_projection_equivariance_sampled(D, eps, rng):
     proto = prototype(D, eps)
     gens = (("A", 1, "A"), ("A", -1, "A-1"), ("B", 1, "B"), ("B", -1, "B-1"))
@@ -161,7 +215,9 @@ def test_resource_cap():
     with pytest.raises(ModNResourceError):
         components(40, max_vertices=10**6)
     with pytest.raises(ModNResourceError):
-        components(67)  # 67^4 vertices would take about 1.65 GB
+        components(67)  # 67^4 vertices would take about 0.28 GB
+    with pytest.raises(ModNResourceError):
+        components(216, max_vertices=10**10)  # 216^4 overflows int32 indices
 
 
 def test_component_table_checks_cap_before_computing(monkeypatch):

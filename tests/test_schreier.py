@@ -209,6 +209,33 @@ def test_classify_flags_parallel_edges(L8):
     _flagged(ball, f"parallel edges at {G.key}")
 
 
+def test_classify_flags_non_growing_neighbors(L8):
+    # neighbours of equal and of smaller complexity s = |x_i| + |y_i|
+    P = pt(L8, *B_PERIODIC[0])  # s = 1/3
+    Q, R = pt(L8, F(1, 2), F(1, 6), F(1, 3), F(1, 6)), pt(L8, F(1, 2), F(1, 6), F(1, 3), 0)
+    ball = _hand_ball(
+        L8,
+        {P: 0, Q: 1, R: 1},
+        [(P, P, ("B", 1)), (P, Q, ("A", 1)), (P, R, ("A", -1))],
+        expanded={P},
+    )
+    _flagged(ball, f"periodic vertex {P.key} has non-growing neighbors")
+    G = pt(L8, *GENERIC)  # s = 2/5
+    nbrs = [
+        pt(L8, F(2, 5), F(1, 5), F(1, 5), F(1, 5)),
+        pt(L8, F(1, 5), F(1, 5), F(1, 5), 0),
+        pt(L8, F(1, 5), F(2, 5), F(1, 5), F(1, 5)),
+        pt(L8, F(2, 5), F(1, 5), F(1, 5), F(2, 5)),
+    ]
+    ball = _hand_ball(
+        L8,
+        {G: 0, **{v: 1 for v in nbrs}},
+        [(G, v, gen) for v, gen in zip(nbrs, SINGLE_STEPS)],
+        expanded={G},
+    )
+    _flagged(ball, f"2 non-growing neighbors at {G.key}")
+
+
 # -- Cheeger ----------------------------------------------------------------------
 
 
