@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import __version__
-from .lemmas import ALL_CHECKS, run_suites
+from .lemmas import run_suites
 from .modn import (
     ModNResourceError,
     component_table,
@@ -38,7 +38,7 @@ from .spectral import (
     dirichlet_mu0,
     graph_ball,
 )
-from .surface import InternalError, parse_point, prototype, surface
+from .surface import InternalError, parse_point, surface
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -58,16 +58,8 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _surface_from_args(args) -> "SurfaceProto":
-    if args.surface is not None:
-        return surface(args.surface)
-    return prototype(args.D, args.eps)
-
-
-def _add_surface_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--surface", help="selector like L8, L5-1, L17+1")
-    p.add_argument("--D", type=int, default=8, help="discriminant (default 8)")
-    p.add_argument("--eps", type=int, default=0, choices=(-1, 0, 1), help="spin variant")
+def _add_surface_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--surface", default="L8", help="selector like L8, L5-1, L17+1 (default L8)")
 
 
 def _csv_table(rows: list[tuple], header: str) -> str:
@@ -83,10 +75,6 @@ def cmd_table_cn(args) -> int:
 
 
 def cmd_components(args) -> int:
-    if args.table is not None:
-        table = component_table(args.table)
-        _emit(_csv_table(table, "N,C_N"), args.csv)
-        return EXIT_OK
     count, reps = components(args.N)
     lines = [f"C({args.N}) = {count}"]
     lines += [f"  component {i}: {rep}" for i, rep in enumerate(reps)]
@@ -102,7 +90,7 @@ def cmd_multiplicativity(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    proto = _surface_from_args(args)
+    proto = surface(args.surface)
     P = parse_point(proto, args.point)
     result = reduce_point(P, check=True)
     print(f"word: {result.word}")
@@ -121,7 +109,7 @@ def cmd_orbit_bracket(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    proto = _surface_from_args(args)
+    proto = surface(args.surface)
     P = parse_point(proto, args.point)
     if args.g2:
         ball = build_G2(P, radius=args.radius)
@@ -136,7 +124,7 @@ def cmd_explore(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    proto = _surface_from_args(args)
+    proto = surface(args.surface)
     P = parse_point(proto, args.point)
     ball = build_G2(P, radius=args.radius)
     shape = classify_component(ball)
@@ -154,8 +142,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify_lemmas(args) -> int:
-    proto = _surface_from_args(args)
-    reports = run_suites(proto, seed=args.seed, samples=args.samples, checks=ALL_CHECKS)
+    proto = surface(args.surface)
+    reports = run_suites(proto, seed=args.seed, samples=args.samples)
     for rep in reports:
         print(rep.line())
     bad = [rep for rep in reports if not rep.ok]
@@ -223,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("components", help="components of one residue graph, with representatives")
     p.add_argument("--N", type=int, default=2)
-    p.add_argument("--table", type=int, help="emit the table for N = 1..TABLE instead")
     p.add_argument("--csv", help="write output here instead of stdout")
     p.set_defaults(fn=cmd_components)
 
@@ -233,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_multiplicativity)
 
     p = sub.add_parser("reduce", help="reduce a point into the bounded set S with a certificate word")
-    _add_surface_args(p)
+    _add_surface_arg(p)
     p.add_argument("--point", required=True, help='four rationals "x_r,x_i,y_r,y_i"')
     p.add_argument("--trace", action="store_true", help="print the per-step case trace")
     p.set_defaults(fn=cmd_reduce)
@@ -244,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_orbit_bracket)
 
     p = sub.add_parser("explore", help="BFS orbit ball around a point (optionally the pruned graph)")
-    _add_surface_args(p)
+    _add_surface_arg(p)
     p.add_argument("--point", required=True)
     p.add_argument("--radius", type=int, default=2)
     p.add_argument("--g2", action="store_true", help="pruned graph with threshold exponents")
@@ -255,13 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_explore)
 
     p = sub.add_parser("classify", help="classify the pruned-graph ball: tree or root-looped tree")
-    _add_surface_args(p)
+    _add_surface_arg(p)
     p.add_argument("--point", required=True)
     p.add_argument("--radius", type=int, default=3)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("verify-lemmas", help="run the growth-lemma property suites")
-    _add_surface_args(p)
+    _add_surface_arg(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000)
     p.set_defaults(fn=cmd_verify_lemmas)

@@ -59,7 +59,7 @@ def _exponent_spread(base: int) -> tuple[int, ...]:
 
 
 def _s_growth(
-    proto: SurfaceProto, rng: random.Random, samples: int, n_max: int, gen: str, name: str
+    proto: SurfaceProto, rng: random.Random, samples: int, gen: str, name: str
 ) -> SuiteReport:
     """Periodic under the other generator, not under gen: every power of gen
     at or beyond its threshold t0 strictly grows s."""
@@ -67,7 +67,7 @@ def _s_growth(
     sampler = sample_b_periodic_point if gen == "A" else sample_a_periodic_point
     report = SuiteReport(name, samples)
     for _ in range(samples):
-        N = rng.randint(1, n_max)
+        N = rng.randint(1, 6)
         P = sampler(proto, N, rng, False)
         t0 = getattr(thresholds(proto, n_value(P)), letter + "0").ceil()
         s0 = s_value(P)
@@ -79,28 +79,26 @@ def _s_growth(
 
 
 def check_s_growth_b_on_a_periodic(
-    proto: SurfaceProto, rng: random.Random, samples: int, n_max: int = 6
+    proto: SurfaceProto, rng: random.Random, samples: int
 ) -> SuiteReport:
     """A-periodic, not B-periodic: every |l| >= l0 strictly grows s."""
-    return _s_growth(proto, rng, samples, n_max, "B", "s-growth under B at A-periodic points")
+    return _s_growth(proto, rng, samples, "B", "s-growth under B at A-periodic points")
 
 
 def check_s_growth_a_on_b_periodic(
-    proto: SurfaceProto, rng: random.Random, samples: int, n_max: int = 6
+    proto: SurfaceProto, rng: random.Random, samples: int
 ) -> SuiteReport:
     """B-periodic, not A-periodic: every |k| >= k0 strictly grows s."""
-    return _s_growth(proto, rng, samples, n_max, "A", "s-growth under A at B-periodic points")
+    return _s_growth(proto, rng, samples, "A", "s-growth under A at B-periodic points")
 
 
-def check_delta_signs(
-    proto: SurfaceProto, rng: random.Random, samples: int, n_max: int = 6
-) -> SuiteReport:
+def check_delta_signs(proto: SurfaceProto, rng: random.Random, samples: int) -> SuiteReport:
     """Opposite nonzero signs of the irrational increments of the moved
     coordinate at +-n beyond t0, for each generator the point is not periodic
     under."""
     report = SuiteReport("opposite increment signs beyond the threshold", samples)
     for _ in range(samples):
-        N = rng.randint(1, n_max)
+        N = rng.randint(1, 6)
         P = sample_point(proto, N, rng, box=200 * N)
         th = thresholds(proto, n_value(P))
         for gen, letter in _LETTER.items():
@@ -114,14 +112,12 @@ def check_delta_signs(
     return report
 
 
-def check_three_of_four(
-    proto: SurfaceProto, rng: random.Random, samples: int, n_max: int = 6
-) -> SuiteReport:
+def check_three_of_four(proto: SurfaceProto, rng: random.Random, samples: int) -> SuiteReport:
     """Doubly non-periodic points: for k > k1, l > l1 at least three of the
     four signed powers strictly grow s."""
     report = SuiteReport("three-of-four growth inequality", samples)
     for _ in range(samples):
-        N = rng.randint(1, n_max)
+        N = rng.randint(1, 6)
         P = sample_nonperiodic_point(proto, N, rng, box=200 * N)
         th = thresholds(proto, n_value(P))
         s0 = s_value(P)
@@ -136,13 +132,11 @@ def check_three_of_four(
     return report
 
 
-def check_action_additivity(
-    proto: SurfaceProto, rng: random.Random, samples: int, n_max: int = 8
-) -> SuiteReport:
+def check_action_additivity(proto: SurfaceProto, rng: random.Random, samples: int) -> SuiteReport:
     """apply(P, k1+k2) equals apply(apply(P, k1), k2) exactly, both generators."""
     report = SuiteReport("power additivity of the actions", samples)
     for _ in range(samples):
-        N = rng.randint(1, n_max)
+        N = rng.randint(1, 8)
         P = sample_point(proto, N, rng, box=500)
         k1, k2 = rng.randint(-15, 15), rng.randint(-15, 15)
         for gen, letter in _LETTER.items():
@@ -152,13 +146,13 @@ def check_action_additivity(
 
 
 def check_projection_equivariance(
-    proto: SurfaceProto, rng: random.Random, samples: int, n_max: int = 12
+    proto: SurfaceProto, rng: random.Random, samples: int
 ) -> SuiteReport:
     """project(g . P) == act(project(P), g) for single generator steps."""
     report = SuiteReport("mod-N projection equivariance", samples)
     gens = (("A", 1, "A"), ("A", -1, "A-1"), ("B", 1, "B"), ("B", -1, "B-1"))
     for _ in range(samples):
-        N = rng.randint(1, n_max)
+        N = rng.randint(1, 12)
         P = sample_point(proto, N, rng, box=400 * N)
         g, e, name = gens[rng.randrange(4)]
         if project(apply(P, g, e)) != act(project(P), name, proto):
@@ -167,16 +161,12 @@ def check_projection_equivariance(
 
 
 def check_word_n_invariance(
-    proto: SurfaceProto,
-    rng: random.Random,
-    samples: int,
-    max_len: int = 20,
-    n_max: int = 12,
+    proto: SurfaceProto, rng: random.Random, samples: int, max_len: int = 20
 ) -> SuiteReport:
     """Random words preserve the common denominator."""
     report = SuiteReport("denominator invariance under words", samples)
     for _ in range(samples):
-        N = rng.randint(1, n_max)
+        N = rng.randint(1, 12)
         P = sample_point(proto, N, rng, box=200 * N)
         letters = [
             ("A" if rng.random() < 0.5 else "B", rng.choice((-3, -2, -1, 1, 2, 3)))
@@ -199,12 +189,10 @@ ALL_CHECKS = (
 )
 
 
-def run_suites(
-    proto: SurfaceProto, seed: int, samples: int, checks=ALL_CHECKS
-) -> list[SuiteReport]:
-    """Run the selected suites with one derived rng per suite (order-stable)."""
+def run_suites(proto: SurfaceProto, seed: int, samples: int) -> list[SuiteReport]:
+    """Run every suite with one derived rng per suite (order-stable)."""
     reports = []
-    for idx, check in enumerate(checks):
+    for idx, check in enumerate(ALL_CHECKS):
         rng = random.Random(f"{seed}:{proto.name}:{idx}")
         reports.append(check(proto, rng, samples))
     return reports

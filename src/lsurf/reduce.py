@@ -42,6 +42,8 @@ CASE_A_PERIODIC = 2
 CASE_SHRINK_Y = 3
 CASE_SHRINK_X = 4
 
+_MAX_STEPS = 10**6
+
 
 class ReduceProgressError(InternalError):
     """The 2-step decrease of max(|x_i|, |y_i|) failed: internal error."""
@@ -77,9 +79,7 @@ class ReduceResult:
     trace: tuple[tuple[int, int | None], ...]
 
 
-def reduce_point(
-    P: SurfacePoint, check: bool = False, max_steps: int = 10**6
-) -> ReduceResult:
+def reduce_point(P: SurfacePoint, check: bool = False) -> ReduceResult:
     """Drive P into S, returning the certificate word (application order).
 
     Case order per iteration: B-periodic, A-periodic, then one shrink step:
@@ -96,8 +96,8 @@ def reduce_point(
     m_window: list[int] = []  # numerators over the orbit invariant N
 
     while not in_S(cur):
-        if len(trace) >= max_steps:
-            raise ReduceProgressError(f"no convergence after {max_steps} steps")
+        if len(trace) >= _MAX_STEPS:
+            raise ReduceProgressError(f"no convergence after {_MAX_STEPS} steps")
         m_window.append(max(abs(cur.b), abs(cur.d)))
         if len(m_window) >= 3:
             if not m_window[-1] < m_window[-3]:
@@ -140,8 +140,9 @@ def reduce_point(
 
 def enumerate_S(
     N: int, proto: SurfaceProto | None = None, max_points: int | None = None
-) -> dict[tuple, SurfacePoint]:
-    """All canonical points of S with least common denominator exactly N.
+) -> list[SurfacePoint]:
+    """All canonical points of S with least common denominator exactly N, in
+    enumeration order.
 
     Numerators over denominator N: the irrational parts range over
     |b|, |d| <= floor(N*(35+24w)) and the rational parts over the finitely
@@ -152,7 +153,7 @@ def enumerate_S(
     """
     proto = proto if proto is not None else _L8
     nb = (s_bound(proto) * N).floor()
-    points: dict[tuple, SurfacePoint] = {}
+    points: dict[SurfacePoint, None] = {}  # insertion-ordered set
     x_pairs = [
         (a, b, gcd(a, b, N))
         for b in range(-nb, nb + 1)
@@ -171,10 +172,10 @@ def enumerate_S(
                 point = SurfacePoint(proto, N, a, b, c, d)
             except InvalidPointError:
                 continue
-            points.setdefault(point.key, point)
+            points.setdefault(point)
             if max_points is not None and len(points) > max_points:
                 raise ResourceCapError(f"S has more than {max_points} points")
-    return points
+    return list(points)
 
 
 @dataclass
@@ -220,7 +221,7 @@ def orbit_class_bracket(
     pts = enumerate_S(N, proto, max_points)
     excluded = []
     vertices: list[SurfacePoint] = []
-    for point in pts.values():
+    for point in pts:
         if is_A_periodic(point) and is_B_periodic(point):
             excluded.append(str(point))
         else:

@@ -23,7 +23,6 @@ from .surface import (
     is_A_periodic,
     is_B_periodic,
     is_periodic,
-    n_value,
     s_value,
     thresholds,
 )
@@ -135,6 +134,9 @@ def _bfs(ball: OrbitGraph, P: SurfacePoint, radius: int, max_vertices: int) -> O
     if radius < 0:
         raise ValueError("radius must be >= 0")
     ball.depth[P] = 0
+    # edges hold the stored instance of a known vertex, not the equal copy
+    # just built, so later lookups hit the identity fast path
+    stored = {P: P}
     queue = deque([P])
     while queue:
         point = queue.popleft()
@@ -148,7 +150,8 @@ def _bfs(ball: OrbitGraph, P: SurfacePoint, radius: int, max_vertices: int) -> O
                 # cannot happen unless the start itself were pruned: a pruned
                 # point is fixed by these powers, and the powers are invertible
                 raise InternalError(f"pruned vertex reached from {point.key}")
-            if img not in ball.depth:
+            known = stored.setdefault(img, img)
+            if known is img:
                 if len(ball.depth) >= max_vertices:
                     ball.partial = True
                     raise ResourceCapError(
@@ -156,7 +159,7 @@ def _bfs(ball: OrbitGraph, P: SurfacePoint, radius: int, max_vertices: int) -> O
                     )
                 ball.depth[img] = d + 1
                 queue.append(img)
-            ball.edges.append((point, img, gen))
+            ball.edges.append((point, known, gen))
         ball.expanded.add(point)
     return ball
 
@@ -172,36 +175,21 @@ def expand_ball(
     return _bfs(ball, P, radius, max_vertices)
 
 
-def find_non_excluded_start(P: SurfacePoint, search_radius: int = 4) -> SurfacePoint:
+def find_non_excluded_start(P: SurfacePoint) -> SurfacePoint:
     """Nearest orbit point not periodic under both generators (single steps)."""
     if not _jointly_periodic(P):
         return P
-    seen = {P}
-    layer = [P]
-    for _ in range(search_radius):
-        nxt = []
-        for Q in layer:
-            for gen in (("A", 1), ("A", -1), ("B", 1), ("B", -1)):
-                img = apply(Q, *gen)
-                if img in seen:
-                    continue
-                seen.add(img)
-                if not _jointly_periodic(img):
-                    return img
-                nxt.append(img)
-        layer = nxt
+    ball = expand_ball(P, (("A", 1), ("A", -1), ("B", 1), ("B", -1)), 4)
+    for Q in ball.depth:  # in BFS order
+        if not _jointly_periodic(Q):
+            return Q
     raise ValueError(
         "no vertex survives the pruning near this start: the whole orbit "
         "neighborhood is periodic under both generators"
     )
 
 
-def build_G2(
-    P: SurfacePoint,
-    N: int | None = None,
-    radius: int = 3,
-    max_vertices: int = 200_000,
-) -> OrbitGraph:
+def build_G2(P: SurfacePoint, radius: int = 3, max_vertices: int = 200_000) -> OrbitGraph:
     """Ball of the pruned graph: only the four chosen generator powers as
     edges, vertices periodic under both generators removed.
 
@@ -210,11 +198,9 @@ def build_G2(
     loops.  Starts from the nearest non-excluded vertex if P itself is pruned.
     """
     P = find_non_excluded_start(P)
-    if N is None:
-        N = n_value(P)
-    th = thresholds(P.proto, N)
+    th = thresholds(P.proto, P.N)
     gens: tuple[GenPower, ...] = (("A", th.k), ("A", -th.k), ("B", th.l), ("B", -th.l))
-    ball = OrbitGraph(proto=P.proto, gens=_gen_order(gens), root=P, g2=True, N=N)
+    ball = OrbitGraph(proto=P.proto, gens=_gen_order(gens), root=P, g2=True, N=P.N)
     return _bfs(ball, P, radius, max_vertices)
 
 

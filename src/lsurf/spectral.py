@@ -122,18 +122,23 @@ def dirichlet_mu0(G: FiniteGraph, support: set[int], dense_cutoff: int = 600) ->
     return float(vals[0])
 
 
+_BRUTE_FORCE_CAP = 20
+
+
 def cheeger_min_over_subsets(
-    G: FiniteGraph, support: set[int] | None = None, cap: int = 20
+    G: FiniteGraph, support: set[int] | None = None
 ) -> tuple[Fraction, frozenset[int]]:
     """Brute-force minimum of c(M) over nonempty M inside the support.
 
-    Exponential in |support|; guarded by the cap.  Defaults to proper subsets
-    of the whole vertex set.
+    Exponential in |support|; refuses more than 20 vertices.  Defaults to
+    proper subsets of the whole vertex set.
     """
     verts = sorted(support) if support is not None else list(range(G.n))
     proper_only = support is None
-    if len(verts) > cap:
-        raise ValueError(f"support of size {len(verts)} exceeds brute-force cap {cap}")
+    if len(verts) > _BRUTE_FORCE_CAP:
+        raise ValueError(
+            f"support of size {len(verts)} exceeds brute-force cap {_BRUTE_FORCE_CAP}"
+        )
     largest = len(verts) - 1 if proper_only else len(verts)
     if largest < 1:
         kind = "proper subset" if proper_only else "subset"
@@ -159,7 +164,7 @@ class SandwichReport:
     mu0: float
     ok_lower: bool
     ok_upper: bool
-    witness: frozenset[int] | None = None
+    witness: frozenset[int]
 
     @property
     def ok(self) -> bool:
@@ -179,28 +184,21 @@ def sandwich_bracket(c: Fraction | float, k: int) -> tuple[float, float]:
     return cf * cf / (2 * k), k * cf
 
 
-def cheeger_sandwich_check(
-    G: FiniteGraph,
-    support: set[int],
-    mu0_value: float | None = None,
-    cheeger_value: Fraction | None = None,
-) -> SandwichReport:
+def cheeger_sandwich_check(G: FiniteGraph, support: set[int]) -> SandwichReport:
     """Check c_S^2/(2k) <= mu0(S) <= k*c_S for a Dirichlet support S.
 
-    c_S is the exact minimum of c(M) over nonempty subsets of S (brute force
-    unless supplied); mu0 is computed if not given.  Both inequalities are
-    theorems in this finite Dirichlet form, so a violation report means a bug
-    or a bad supplied value, never expected behavior.
+    c_S is the exact minimum of c(M) over nonempty subsets of S (brute force,
+    checked against the cap before mu0 is computed).  Both inequalities are
+    theorems in this finite Dirichlet form, so a violation report means a
+    bug, never expected behavior.
     """
-    witness = None
-    if cheeger_value is None:
-        cheeger_value, witness = cheeger_min_over_subsets(G, support)
-    mu0 = dirichlet_mu0(G, support) if mu0_value is None else mu0_value
+    cheeger, witness = cheeger_min_over_subsets(G, support)
+    mu0 = dirichlet_mu0(G, support)
     k = G.max_degree
-    lower, upper = sandwich_bracket(cheeger_value, k)
+    lower, upper = sandwich_bracket(cheeger, k)
     tol = 1e-9
     return SandwichReport(
-        cheeger=cheeger_value,
+        cheeger=cheeger,
         max_degree=k,
         lower=lower,
         upper=upper,

@@ -8,6 +8,7 @@ import pytest
 
 import lsurf
 from lsurf.cli import main
+from lsurf.lemmas import run_suites
 from lsurf.reduce import ReduceProgressError
 from lsurf.surface import InternalError
 
@@ -86,6 +87,36 @@ def test_verify_lemmas_exit_zero(capsys):
     code, out = run_cli(capsys, "verify-lemmas", "--seed", "7", "--samples", "25")
     assert code == 0
     assert "VIOLATIONS" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--D", "8", "--point", "0,0,1/2,0"],
+        ["classify", "--eps", "1", "--point", "1/3,1/3,1/2,0"],
+        ["components", "--table", "3"],
+    ],
+    ids=["reduce --D", "classify --eps", "components --table"],
+)
+def test_removed_flags_are_usage_errors(capsys, argv):
+    # --surface selects the prototype, table-cn --max prints the table
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_surface_defaults_to_l8(capsys, monkeypatch):
+    seen = []
+
+    def recording(proto, **kwargs):
+        seen.append(proto.name)
+        return run_suites(proto, **kwargs)
+
+    monkeypatch.setattr("lsurf.cli.run_suites", recording)
+    code, out = run_cli(capsys, "verify-lemmas", "--seed", "7", "--samples", "5")
+    assert code == 0 and seen == ["L8"]
+    assert out.count("5 samples, ok") == 7
 
 
 def test_tree_cheeger_csv(capsys):

@@ -3,7 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from lsurf.sampling import sample_b_periodic_point, sample_nonperiodic_point, sample_point
+from lsurf.sampling import (
+    sample_a_periodic_point,
+    sample_b_periodic_point,
+    sample_nonperiodic_point,
+    sample_point,
+)
 from lsurf.schreier import (
     OTHER,
     ROOT_LOOPED4,
@@ -22,7 +27,15 @@ from lsurf.schreier import (
     root_paths_strictly_increasing,
     tree_cheeger_profile,
 )
-from lsurf.surface import SurfacePoint, apply, n_value, thresholds
+from lsurf.surface import (
+    SurfacePoint,
+    apply,
+    is_A_periodic,
+    is_B_periodic,
+    n_value,
+    prototype,
+    thresholds,
+)
 
 SINGLE_STEPS = [("A", 1), ("A", -1), ("B", 1), ("B", -1)]
 
@@ -79,6 +92,13 @@ def test_resource_cap_carries_partial(L8):
         assert err.value.partial.order() >= 4
 
 
+def test_edge_ends_are_the_stored_vertices(L8):
+    # an image equal to a known vertex is recorded as that vertex's instance
+    ball = build_G2(pt(L8, F(1, 5), F(1, 5), F(2, 5), F(1, 5)), radius=6)
+    stored = {v: v for v in ball.depth}
+    assert all(stored[u] is u and stored[v] is v for u, v, _ in ball.edges)
+
+
 def test_deterministic_export(L8):
     P = pt(L8, F(1, 3), F(1, 3), F(1, 2), 0)
     one = build_G2(P, radius=2).to_json_dict()
@@ -131,6 +151,49 @@ def test_find_non_excluded_start_raises_on_fixed_points(L8):
         P = pt(L8, *coords)
         with pytest.raises(ValueError):
             find_non_excluded_start(P)
+
+
+def _jointly_periodic(Q):
+    return is_A_periodic(Q) and is_B_periodic(Q)
+
+
+def _layered_non_excluded_start(P):
+    """Oracle: the layered single-step search ``find_non_excluded_start`` ran
+    before it read the BFS ball, returning at the first surviving image."""
+    if not _jointly_periodic(P):
+        return P
+    seen = {P}
+    layer = [P]
+    for _ in range(4):
+        nxt = []
+        for Q in layer:
+            for gen in SINGLE_STEPS:
+                img = apply(Q, *gen)
+                if img in seen:
+                    continue
+                seen.add(img)
+                if not _jointly_periodic(img):
+                    return img
+                nxt.append(img)
+        layer = nxt
+    raise ValueError("no vertex survives the pruning near this start")
+
+
+@pytest.mark.parametrize("D,eps", [(8, 0), (5, -1), (17, 1), (12, 0), (13, -1), (41, 1)])
+def test_find_non_excluded_start_matches_layered_search(D, eps):
+    proto = prototype(D, eps)
+    rng = random.Random(f"non-excluded:{D}:{eps}")
+    for _ in range(40):
+        P = sample_a_periodic_point(proto, rng.randint(1, 6), rng, b_periodic=True)
+        assert is_B_periodic(P)
+        try:
+            want = _layered_non_excluded_start(P)
+        except ValueError:
+            with pytest.raises(ValueError):
+                find_non_excluded_start(P)
+            continue
+        got = find_non_excluded_start(P)
+        assert got == want and not _jointly_periodic(got)
 
 
 def _hand_ball(proto, depth, edges, expanded=(), g2=False):
