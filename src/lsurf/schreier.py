@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import inf
 
 from .surface import (
@@ -49,7 +50,12 @@ def _gen_order(gens: list[GenPower] | tuple[GenPower, ...]) -> tuple[GenPower, .
 
 @dataclass
 class OrbitGraph:
-    """Finite labeled ball of the orbit graph; ``depth`` lists its vertices in BFS order."""
+    """Finite labeled ball of the orbit graph; ``depth`` lists its vertices in BFS order.
+
+    Both ends of every edge are the instances stored in ``depth`` (``_bfs``
+    records a known vertex, not the equal image it just built), so code
+    reading a ball may compare vertices by identity.
+    """
 
     proto: SurfaceProto
     gens: tuple[GenPower, ...]
@@ -69,7 +75,7 @@ class OrbitGraph:
         """Undirected simple view: loops and edge multiplicities dropped."""
         adj: dict[SurfacePoint, set[SurfacePoint]] = {v: set() for v in self.depth}
         for u, v, _ in self.edges:
-            if u != v:
+            if u is not v:
                 adj[u].add(v)
                 adj[v].add(u)
         return adj
@@ -77,7 +83,7 @@ class OrbitGraph:
     def loop_vertices(self) -> dict[SurfacePoint, list[GenPower]]:
         loops: dict[SurfacePoint, list[GenPower]] = {}
         for u, v, g in self.edges:
-            if u == v:
+            if u is v:
                 loops.setdefault(u, []).append(g)
         return loops
 
@@ -179,10 +185,17 @@ def find_non_excluded_start(P: SurfacePoint) -> SurfacePoint:
     """Nearest orbit point not periodic under both generators (single steps)."""
     if not _jointly_periodic(P):
         return P
-    ball = expand_ball(P, (("A", 1), ("A", -1), ("B", 1), ("B", -1)), 4)
-    for Q in ball.depth:  # in BFS order
-        if not _jointly_periodic(Q):
-            return Q
+    # the survivor is almost always near P, so grow the ball one radius at a
+    # time; a smaller ball's BFS order is a prefix of the larger one's
+    checked = 1  # P itself
+    for radius in range(1, 5):
+        ball = expand_ball(P, (("A", 1), ("A", -1), ("B", 1), ("B", -1)), radius)
+        for Q in islice(ball.depth, checked, None):  # the new sphere, in BFS order
+            if not _jointly_periodic(Q):
+                return Q
+        if not ball.frontier:
+            break  # no vertex at this radius: the ball is the whole orbit
+        checked = ball.order()
     raise ValueError(
         "no vertex survives the pruning near this start: the whole orbit "
         "neighborhood is periodic under both generators"
@@ -257,27 +270,26 @@ def classify_component(ball: OrbitGraph) -> ComponentShape:
         out_edges.setdefault(u, {})[gen] = v
 
     for point in (v for v in ball.depth if v in ball.expanded):  # in BFS order
-        key = point.key
         images = out_edges.get(point, {})
-        non_loop = [v for v in images.values() if v != point]
+        non_loop = [v for v in images.values() if v is not point]
         distinct = set(non_loop)
         if len(distinct) != len(non_loop):
-            violations.append(f"parallel edges at {key}")
-        periodic_gen = _expected_loop(point)
-        if point not in loops and periodic_gen is not None and ball.g2:
-            violations.append(f"singly periodic vertex {key} misses its loop")
-        want_degree = 2 if point in loops else 4
+            violations.append(f"parallel edges at {point.key}")
+        looped = point in loops
+        if not looped and ball.g2 and _expected_loop(point) is not None:
+            violations.append(f"singly periodic vertex {point.key} misses its loop")
+        want_degree = 2 if looped else 4
         if len(distinct) != want_degree:
             violations.append(
-                f"vertex {key} has {len(distinct)} distinct neighbors, wanted {want_degree}"
+                f"vertex {point.key} has {len(distinct)} distinct neighbors, wanted {want_degree}"
             )
         s_here = abs(point.b) + abs(point.d)  # N * s_value; the ball shares N
         non_increasing = [v for v in distinct if abs(v.b) + abs(v.d) <= s_here]
-        if point in loops:
+        if looped:
             if non_increasing:
-                violations.append(f"periodic vertex {key} has non-growing neighbors")
+                violations.append(f"periodic vertex {point.key} has non-growing neighbors")
         elif len(non_increasing) > 1:
-            violations.append(f"{len(non_increasing)} non-growing neighbors at {key}")
+            violations.append(f"{len(non_increasing)} non-growing neighbors at {point.key}")
 
     if violations:
         return ComponentShape(OTHER, ball, violations, loop_vertex)
@@ -292,12 +304,10 @@ def root_paths_strictly_increasing(ball: OrbitGraph) -> bool:
     ball).  Holds whenever the root is the component's periodic vertex."""
     parent: dict[SurfacePoint, SurfacePoint] = {}
     for u, v, _ in ball.edges:
-        if u != v and v not in parent and ball.depth[v] == ball.depth[u] + 1:
+        if u is not v and v not in parent and ball.depth[v] == ball.depth[u] + 1:
             parent[v] = u
-    for v, p in parent.items():
-        if not s_value(v) > s_value(p):
-            return False
-    return True
+    # N * s_value; the ball shares N
+    return all(abs(v.b) + abs(v.d) > abs(p.b) + abs(p.d) for v, p in parent.items())
 
 
 # -- Cheeger utilities -------------------------------------------------------

@@ -218,10 +218,12 @@ class SurfacePoint:
     integer signs, rejects the two singular corners (0,0) and (1,1), and
     normalizes the identified top edge (x, 1) ~ (x, 0) for x > 1, so that
     equal surface points have equal numerators.  ``x``, ``y`` and ``key``
-    are exact read-only views.
+    are exact read-only views.  The hash of (N, a, b, c, d) is kept in a
+    slot, filled on the first ``hash``: most points of a reduction are never
+    hashed, while an orbit-ball vertex is hashed on every lookup.
     """
 
-    __slots__ = ("N", "a", "b", "c", "d", "proto")
+    __slots__ = ("N", "a", "b", "c", "d", "proto", "_hash")
 
     def __init__(self, proto: SurfaceProto, N: int, a: int, b: int, c: int, d: int) -> None:
         if N < 1:
@@ -240,8 +242,14 @@ class SurfacePoint:
             raise InvalidPointError("singular corner")
         if c == N and d == 0 and sign(a - N, b) > 0:
             c = 0  # (x,1) ~ (x,0) for x > 1; keep smaller coordinates
-        for name, value in zip(self.__slots__, (N, a, b, c, d, proto)):
-            object.__setattr__(self, name, value)
+        put = object.__setattr__  # one call per slot, faster than a loop
+        put(self, "N", N)
+        put(self, "a", a)
+        put(self, "b", b)
+        put(self, "c", c)
+        put(self, "d", d)
+        put(self, "proto", proto)
+        put(self, "_hash", None)  # filled by the first __hash__
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("SurfacePoint is immutable")
@@ -273,7 +281,11 @@ class SurfacePoint:
         ) and (self.proto is other.proto or self.proto == other.proto)
 
     def __hash__(self) -> int:
-        return hash((self.N, self.a, self.b, self.c, self.d))
+        h = self._hash
+        if h is None:
+            h = hash((self.N, self.a, self.b, self.c, self.d))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.key)

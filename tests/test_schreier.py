@@ -38,6 +38,7 @@ from lsurf.surface import (
 )
 
 SINGLE_STEPS = [("A", 1), ("A", -1), ("B", 1), ("B", -1)]
+ALL_SURFACES = [(8, 0), (5, -1), (17, 1), (12, 0), (13, -1), (41, 1)]
 
 
 def pt(proto, xr, xi, yr, yi):
@@ -92,11 +93,58 @@ def test_resource_cap_carries_partial(L8):
         assert err.value.partial.order() >= 4
 
 
-def test_edge_ends_are_the_stored_vertices(L8):
+@pytest.fixture(scope="module")
+def identity_test_balls():
+    """A G2 ball of radius 6 from a singly periodic start on each prototype
+    (so its root carries loops), the G2 ball and the cycle-rich single-step
+    ball of 1/5,1/5,2/5,1/5 on L8."""
+    balls = {}
+    for D, eps in ALL_SURFACES:
+        proto = prototype(D, eps)
+        rng = random.Random(f"stored-vertices:{D}:{eps}")
+        P = sample_b_periodic_point(proto, rng.randint(1, 3), rng, a_periodic=False)
+        balls[f"G2 {proto.name}"] = build_G2(P, radius=6)
+    G = pt(prototype(8, 0), F(1, 5), F(1, 5), F(2, 5), F(1, 5))
+    balls["G2 L8 generic"] = build_G2(G, radius=6)
+    balls["single-step L8"] = expand_ball(G, SINGLE_STEPS, 6)
+    return balls
+
+
+def _loops_by_equality(ball):
+    loops = {}
+    for u, v, g in ball.edges:
+        if u == v:
+            loops.setdefault(u, []).append(g)
+    return loops
+
+
+def _simple_adjacency_by_equality(ball):
+    adj = {v: set() for v in ball.depth}
+    for u, v, _ in ball.edges:
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    return adj
+
+
+def test_edge_ends_are_the_stored_vertices(identity_test_balls):
     # an image equal to a known vertex is recorded as that vertex's instance
-    ball = build_G2(pt(L8, F(1, 5), F(1, 5), F(2, 5), F(1, 5)), radius=6)
-    stored = {v: v for v in ball.depth}
-    assert all(stored[u] is u and stored[v] is v for u, v, _ in ball.edges)
+    for name, ball in identity_test_balls.items():
+        stored = {v: v for v in ball.depth}
+        assert all(stored[u] is u and stored[v] is v for u, v, _ in ball.edges), name
+
+
+def test_identity_views_match_equality_oracles(identity_test_balls):
+    # loop_vertices and simple_adjacency compare edge ends by identity
+    for name, ball in identity_test_balls.items():
+        loops = ball.loop_vertices()
+        assert loops == _loops_by_equality(ball), name
+        assert ball.simple_adjacency() == _simple_adjacency_by_equality(ball), name
+        if ball.g2:  # loops sit exactly at a singly periodic root
+            assert set(loops) == ({ball.root} if is_B_periodic(ball.root) else set()), name
+    single = identity_test_balls["single-step L8"]
+    n_edges = sum(map(len, single.simple_adjacency().values())) // 2
+    assert single.order() == 1076 and n_edges > single.order() - 1  # has cycles
 
 
 def test_deterministic_export(L8):
@@ -179,7 +227,7 @@ def _layered_non_excluded_start(P):
     raise ValueError("no vertex survives the pruning near this start")
 
 
-@pytest.mark.parametrize("D,eps", [(8, 0), (5, -1), (17, 1), (12, 0), (13, -1), (41, 1)])
+@pytest.mark.parametrize("D,eps", ALL_SURFACES)
 def test_find_non_excluded_start_matches_layered_search(D, eps):
     proto = prototype(D, eps)
     rng = random.Random(f"non-excluded:{D}:{eps}")
@@ -297,6 +345,17 @@ def test_classify_flags_non_growing_neighbors(L8):
         expanded={G},
     )
     _flagged(ball, f"2 non-growing neighbors at {G.key}")
+
+
+def test_root_paths_flag_a_non_growing_tree_edge(L8):
+    # s = |x_i| + |y_i| must grow strictly from parent to child
+    P = pt(L8, *B_PERIODIC[0])  # s = 1/3
+    grows = pt(L8, F(1, 2), F(1, 3), F(1, 3), F(1, 6))  # s = 1/2
+    equal = pt(L8, F(1, 2), F(1, 6), F(1, 3), F(1, 6))  # s = 1/3
+    shrinks = pt(L8, F(1, 2), F(1, 6), F(1, 3), 0)  # s = 1/6
+    for child, want in ((grows, True), (equal, False), (shrinks, False)):
+        ball = _hand_ball(L8, {P: 0, child: 1}, [(P, P, ("B", 1)), (P, child, ("A", 1))])
+        assert root_paths_strictly_increasing(ball) is want
 
 
 # -- Cheeger ----------------------------------------------------------------------

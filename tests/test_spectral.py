@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from lsurf.schreier import build_G2, build_regular_tree_ball
+from lsurf.schreier import build_G2, build_regular_tree_ball, build_root_looped_tree
 from lsurf.spectral import (
     FiniteGraph,
     _laplacian_matrix,
@@ -141,11 +141,22 @@ def test_tree_ball_values_decrease_toward_limit():
     assert all(v >= TREE_LIMIT - 1e-6 for v in values)
 
 
+def root_looped_graph(radius):
+    adj, root, _ = build_root_looped_tree(radius + 1)
+    G, ids = FiniteGraph.from_adjacency(adj)
+    support = graph_ball(G, ids[root], radius)
+    return G, support
+
+
 def test_sparse_and_dense_paths_agree():
-    G, support = tree_ball_graph(4)
-    dense = dirichlet_mu0(G, support, dense_cutoff=10**6)
-    sparse = dirichlet_mu0(G, support, dense_cutoff=1)
-    assert dense == pytest.approx(sparse, abs=1e-8)
+    # the 485 and 243 vertex supports are those of radius-6 tree and
+    # root-looped orbit balls, which the default cutoff sends to ARPACK
+    cases = {161: tree_ball_graph(4), 485: tree_ball_graph(5), 243: root_looped_graph(5)}
+    for size, (G, support) in cases.items():
+        assert len(support) == size
+        dense = dirichlet_mu0(G, support, dense_cutoff=10**6)
+        sparse = dirichlet_mu0(G, support, dense_cutoff=1)
+        assert dense == pytest.approx(sparse, abs=1e-8)
 
 
 # -- Cheeger sandwich ---------------------------------------------------------------

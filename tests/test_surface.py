@@ -150,6 +150,28 @@ def test_top_edge_identification(L8):
     assert Q.y == 1
 
 
+@pytest.mark.parametrize("D,eps", ALL_SURFACES)
+def test_equal_points_hash_equal_by_every_route(D, eps, rng):
+    # the hash is kept after the first call; each route builds a new instance
+    proto = prototype(D, eps)
+    for _ in range(20):
+        P = sample_point(proto, rng.randint(1, 6), rng, box=200)
+        n = rng.choice([-3, -1, 2, 5])
+        routes = [
+            SurfacePoint(proto, 6 * P.N, 6 * P.a, 6 * P.b, 6 * P.c, 6 * P.d),  # gcd 6
+            SurfacePoint.from_fractions(proto, *P.key),
+            apply(apply(P, "A", n), "A", -n),
+            apply(apply(P, "B", n), "B", -n),
+        ]
+        for Q in routes:
+            assert Q == P and Q is not P
+            assert hash(Q) == hash(P) == hash((P.N, P.a, P.b, P.c, P.d))
+            assert hash(Q) == hash(Q)  # the second call reads the kept slot
+    # the top-edge normalisation: (x, 1) ~ (x, 0) for x > 1
+    top, bottom = pt(proto, F(3, 2), 0, 1, 0), pt(proto, F(3, 2), 0, 0, 0)
+    assert top == bottom and hash(top) == hash(bottom) == hash((2, 3, 0, 0, 0))
+
+
 def test_parse_point_roundtrip(L8):
     P = parse_point(L8, "-141,100,1/2,0")
     assert P.key == (F(-141), F(100), F(1, 2), F(0))
