@@ -144,6 +144,7 @@ def cmd_classify(args) -> int:
 def cmd_verify_lemmas(args) -> int:
     proto = surface(args.surface)
     reports = run_suites(proto, seed=args.seed, samples=args.samples)
+    print(f"# verify-lemmas on {proto.name}, seed {args.seed}, {args.samples} samples per suite")
     for rep in reports:
         print(rep.line())
     bad = [rep for rep in reports if not rep.ok]

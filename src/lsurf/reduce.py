@@ -19,6 +19,7 @@ from .modn import _UnionFind, components
 from .quadfield import QuadNum
 from .schreier import ResourceCapError
 from .surface import (
+    UNIT,
     GeneratorWord,
     InternalError,
     InvalidPointError,
@@ -33,6 +34,7 @@ from .surface import (
     is_B_periodic,
     numerator_window,
     prototype,
+    twist,
 )
 
 _L8 = prototype(8, 0)
@@ -62,12 +64,20 @@ def s_bound(proto: SurfaceProto | None = None) -> QuadNum:
     return QuadNum(35, 24, proto.field)
 
 
+_S_PAIR = (s_bound().r.numerator, s_bound().i.numerator)  # its parts are integers
+
+
+def _s_cutoff(N: int) -> int:
+    """floor(N*(35 + 24w)): an integer numerator t over N has
+    |t|/N <= 35 + 24w iff |t| <= this."""
+    r, i = _S_PAIR
+    return _L8.quotient(N * r, N * i, 1, UNIT)
+
+
 def in_S(P: SurfacePoint) -> bool:
     """Exact membership test |x_i| <= 35+24w and |y_i| <= 35+24w."""
     _require_l8(P)
-    bound = s_bound(P.proto)
-    r, i = int(bound.r) * P.N, int(bound.i) * P.N
-    return all(P.proto.sign(r - abs(t), i) >= 0 for t in (P.b, P.d))
+    return max(abs(P.b), abs(P.d)) <= _s_cutoff(P.N)
 
 
 @dataclass(frozen=True)
@@ -86,19 +96,22 @@ def reduce_point(P: SurfacePoint, check: bool = False) -> ReduceResult:
     gen = A if |x_i| < |y_i| (shrink |y_i|), else B (shrink |x_i|).  With u
     the coordinate whose cylinder gen twists, the exponent is
     ceil(1/(|u_i| * coeffs[gen])) when u < 1 and 1 otherwise; of +-n the one
-    leaving the smaller moved irrational part wins, ties toward +n.
+    leaving the smaller moved irrational part wins, ties toward +n.  Both
+    candidates are compared on their moved numerators, and only the winner
+    is built as a point.
     """
     _require_l8(P)
     proto, N = P.proto, P.N
+    cutoff = _s_cutoff(N)
     letters: list[tuple[str, int]] = []
     trace: list[tuple[int, int | None]] = []
     cur = P
     m_window: list[int] = []  # numerators over the orbit invariant N
 
-    while not in_S(cur):
+    while (m := max(abs(cur.b), abs(cur.d))) > cutoff:  # until cur is in S
         if len(trace) >= _MAX_STEPS:
             raise ReduceProgressError(f"no convergence after {_MAX_STEPS} steps")
-        m_window.append(max(abs(cur.b), abs(cur.d)))
+        m_window.append(m)
         if len(m_window) >= 3:
             if not m_window[-1] < m_window[-3]:
                 raise ReduceProgressError(
@@ -117,15 +130,14 @@ def reduce_point(P: SurfacePoint, check: bool = False) -> ReduceResult:
             trace.append((CASE_A_PERIODIC, None))
         else:
             gen = "A" if abs(cur.b) < abs(cur.d) else "B"
-            u0, u1 = axes(cur, gen)[0]
+            u = axes(cur, gen)[0]
             # near cylinder: ceil(1/(|u_i|*c)) = -floor(-N/(|u1|*c))
-            near = proto.sign(u0 - N, u1) < 0
-            n = -proto.quotient(-N, 0, abs(u1), proto.wiring[gen].coeff) if near else 1
-            plus, minus = apply(cur, gen, n), apply(cur, gen, -n)
-            if abs(axes(plus, gen)[1][1]) <= abs(axes(minus, gen)[1][1]):
-                cur, e = plus, n
-            else:
-                cur, e = minus, -n
+            near = proto.sign(u[0] - N, u[1]) < 0
+            n = -proto.quotient(-N, 0, abs(u[1]), proto.wiring[gen].coeff) if near else 1
+            plus, minus = twist(cur, gen, n), twist(cur, gen, -n)
+            v, e = (plus, n) if abs(plus[1]) <= abs(minus[1]) else (minus, -n)
+            # gen keeps u and moves v: A sets (x, y) = (u, v), B sets (v, u)
+            cur = SurfacePoint(proto, N, *(u + v if gen == "A" else v + u))
             letters.append((gen, e))
             trace.append((CASE_SHRINK_Y if gen == "A" else CASE_SHRINK_X, e))
 

@@ -139,32 +139,38 @@ def _bfs(ball: OrbitGraph, P: SurfacePoint, radius: int, max_vertices: int) -> O
     vertex periodic under both generators."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    if ball.g2 and _jointly_periodic(P):
+        raise InternalError(f"pruned vertex {P.key} as the start")
     ball.depth[P] = 0
     # edges hold the stored instance of a known vertex, not the equal copy
     # just built, so later lookups hit the identity fast path
     stored = {P: P}
-    queue = deque([P])
+    # queued: a vertex, its depth and (the vertex that first reached it, the
+    # generator power leading back there), so that step is never recomputed
+    queue: deque = deque([(P, 0, None)])
     while queue:
-        point = queue.popleft()
-        d = ball.depth[point]
+        point, d, back = queue.popleft()
         if d >= radius:
             ball.frontier.add(point)
             continue
         for gen in ball.gens:
-            img = apply(point, *gen)
-            if ball.g2 and _jointly_periodic(img):
-                # cannot happen unless the start itself were pruned: a pruned
-                # point is fixed by these powers, and the powers are invertible
-                raise InternalError(f"pruned vertex reached from {point.key}")
-            known = stored.setdefault(img, img)
-            if known is img:
-                if len(ball.depth) >= max_vertices:
-                    ball.partial = True
-                    raise ResourceCapError(
-                        f"ball exceeded {max_vertices} vertices", partial=ball
-                    )
-                ball.depth[img] = d + 1
-                queue.append(img)
+            if back is not None and gen == back[1]:
+                known = back[0]
+            else:
+                img = apply(point, *gen)
+                known = stored.setdefault(img, img)
+                if known is img:
+                    if ball.g2 and _jointly_periodic(img):
+                        # a pruned point is fixed by these powers, which are
+                        # invertible, so only a pruned start could lead to one
+                        raise InternalError(f"pruned vertex reached from {point.key}")
+                    if len(ball.depth) >= max_vertices:
+                        ball.partial = True
+                        raise ResourceCapError(
+                            f"ball exceeded {max_vertices} vertices", partial=ball
+                        )
+                    ball.depth[img] = d + 1
+                    queue.append((img, d + 1, (point, (gen[0], -gen[1]))))
             ball.edges.append((point, known, gen))
         ball.expanded.add(point)
     return ball
@@ -259,9 +265,13 @@ def classify_component(ball: OrbitGraph) -> ComponentShape:
         elif any(g != expected for g, _ in gens_at_v):
             violations.append(f"loop labels {gens_at_v} at {v.key} not all {expected}")
 
-    # acyclicity of the simple view (ball is connected by construction)
-    adj = ball.simple_adjacency()
-    n_edges = sum(len(nbrs) for nbrs in adj.values()) // 2
+    # acyclicity of the simple view (ball is connected by construction): its
+    # edges are the distinct non-loop pairs, keyed by identity (no point hashed)
+    n_edges = len({
+        (id(u), id(v)) if id(u) < id(v) else (id(v), id(u))
+        for u, v, _ in ball.edges
+        if u is not v
+    })
     if n_edges != ball.order() - 1:
         violations.append(f"simple view has {n_edges} edges on {ball.order()} vertices")
 

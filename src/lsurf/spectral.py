@@ -18,10 +18,18 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .schreier import cheeger_of_set
+
+
+def _scipy():
+    """scipy.sparse and scipy.sparse.linalg, imported together on the first
+    call that builds a matrix: importing them costs about 0.3 s and 30 MB,
+    which commands that solve no eigenproblem should not pay."""
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    return scipy.sparse, scipy.sparse.linalg
 
 
 class SpectralConvergenceError(RuntimeError):
@@ -88,7 +96,8 @@ class FiniteGraph:
         return self.n == 0 or len(graph_ball(self, 0, self.n)) == self.n
 
 
-def _laplacian_matrix(G: FiniteGraph) -> sp.csr_matrix:
+def _laplacian_matrix(G: FiniteGraph) -> scipy.sparse.csr_matrix:
+    sp, _ = _scipy()
     diag = np.arange(G.n)
     u, v = np.array(G.edges, dtype=np.int64).reshape(-1, 2).T
     rows = np.concatenate([diag, u, v])
@@ -113,6 +122,7 @@ def dirichlet_mu0(G: FiniteGraph, support: set[int], dense_cutoff: int = 128) ->
     if not support:
         raise ValueError("support must be nonempty")
     idx = sorted(support)
+    _, spla = _scipy()
     L = _laplacian_matrix(G)[idx, :][:, idx]
     m = len(idx)
     if m == 1:

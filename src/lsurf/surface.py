@@ -164,7 +164,7 @@ class SurfaceProto:
 
 # the cylinder periods (p_low - w, p_left - w) per spin eps
 _PERIODS = {0: (1, 0), 1: (1, -1), -1: (0, 0)}
-_UNIT = Divisor((1, 0), ((1, 0), (0, 1)), 1)  # far-cylinder circumference
+UNIT = Divisor((1, 0), ((1, 0), (0, 1)), 1)  # the divisor 1: far-cylinder circumference
 
 
 @lru_cache(maxsize=None)
@@ -235,7 +235,7 @@ class SurfacePoint:
         if sign(c - N, d) <= 0:  # lower cylinder: 0 <= y <= 1, 0 <= x < p_low
             inside = sign(c, d) >= 0 and within(N, a, b, wiring["B"].near.q)
         else:  # upper cylinder: 1 < y < p_left, 0 <= x < 1
-            inside = within(N, c, d, wiring["A"].near.q) and within(N, a, b, _UNIT.q)
+            inside = within(N, c, d, wiring["A"].near.q) and within(N, a, b, UNIT.q)
         if not inside:
             raise InvalidPointError(f"({a} + {b}w, {c} + {d}w)/{N} is outside {proto.name}")
         if b == d == 0 and (a == c == 0 or a == c == N):
@@ -313,7 +313,7 @@ def shear(m: Block, n, u0, u1, v0, v1):
     return v0 + n * (p * u0 + q * u1), v1 + n * (r * u0 + s * u1)
 
 
-def _twist(P: SurfacePoint, gen: str, n: int) -> Pair:
+def twist(P: SurfacePoint, gen: str, n: int) -> Pair:
     """Numerators over P.N of the coordinate v that gen moves, after n twists
     of the cylinder that the other coordinate u lies in.
 
@@ -325,7 +325,7 @@ def _twist(P: SurfacePoint, gen: str, n: int) -> Pair:
     proto, N, wiring = P.proto, P.N, P.proto.wiring[gen]
     modulus = wiring.near
     if proto.sign(u0 - N, u1) > 0:
-        u0, modulus = u0 - N, _UNIT
+        u0, modulus = u0 - N, UNIT
     v0, v1 = shear(wiring.block, n, u0, u1, v0, v1)
     k = proto.quotient(v0, v1, N, modulus)
     t = modulus.q
@@ -339,14 +339,14 @@ def apply_B(P: SurfacePoint, l: int) -> SurfacePoint:
     """Horizontal parabolic power: twists x within its horizontal cylinder."""
     if l == 0:
         return P
-    return SurfacePoint(P.proto, P.N, *_twist(P, "B", l), P.c, P.d)
+    return SurfacePoint(P.proto, P.N, *twist(P, "B", l), P.c, P.d)
 
 
 def apply_A(P: SurfacePoint, k: int) -> SurfacePoint:
     """Vertical parabolic power: twists y within its vertical cylinder."""
     if k == 0:
         return P
-    return SurfacePoint(P.proto, P.N, P.a, P.b, *_twist(P, "A", k))
+    return SurfacePoint(P.proto, P.N, P.a, P.b, *twist(P, "A", k))
 
 
 def apply(P: SurfacePoint, gen: str, n: int) -> SurfacePoint:

@@ -8,7 +8,6 @@ import pytest
 
 import lsurf
 from lsurf.cli import main
-from lsurf.lemmas import run_suites
 from lsurf.reduce import ReduceProgressError
 from lsurf.surface import InternalError
 
@@ -106,16 +105,10 @@ def test_removed_flags_are_usage_errors(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_surface_defaults_to_l8(capsys, monkeypatch):
-    seen = []
-
-    def recording(proto, **kwargs):
-        seen.append(proto.name)
-        return run_suites(proto, **kwargs)
-
-    monkeypatch.setattr("lsurf.cli.run_suites", recording)
+def test_surface_defaults_to_l8(capsys):
     code, out = run_cli(capsys, "verify-lemmas", "--seed", "7", "--samples", "5")
-    assert code == 0 and seen == ["L8"]
+    assert code == 0
+    assert out.splitlines()[0] == "# verify-lemmas on L8, seed 7, 5 samples per suite"
     assert out.count("5 samples, ok") == 7
 
 
@@ -213,6 +206,24 @@ def test_closed_stdout_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def test_scipy_is_imported_by_the_first_eigensolve():
+    # importing lsurf and reducing a point must not pay for scipy
+    script = (
+        "import sys, lsurf\n"
+        "from lsurf.cli import main\n"
+        "assert main(['reduce', '--point', '-141,100,1/2,0']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported before any eigensolve'\n"
+        "from lsurf.spectral import FiniteGraph, dirichlet_mu0\n"
+        "assert dirichlet_mu0(FiniteGraph.from_edges(2, [(0, 1)]), {0}) == 1.0\n"
+        "assert 'scipy.sparse.linalg' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(lsurf.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

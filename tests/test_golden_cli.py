@@ -61,12 +61,12 @@ GOLDEN = {
     "g2-json L8": "bbaf702b83698f2e4da7a4e9482377cd9d2952fa85f7f54bda1924ea1ee96b2c",
     "reduce": "ed1adde08a13c5f6cf946fa7d5b7cff45f1c98552939820c2fe24f62b02b9ef5",
     "table-cn": "c74577934c143ac8134f933b7b401864b845172f7bb94ebb21cd2f75bd7f499e",
-    "verify-lemmas L12": "11cbd5924a5cbcbc9b25b297e7fdac7632593556481de070cb3f59f4d5f44896",
-    "verify-lemmas L13-1": "11cbd5924a5cbcbc9b25b297e7fdac7632593556481de070cb3f59f4d5f44896",
-    "verify-lemmas L17+1": "11cbd5924a5cbcbc9b25b297e7fdac7632593556481de070cb3f59f4d5f44896",
-    "verify-lemmas L41+1": "11cbd5924a5cbcbc9b25b297e7fdac7632593556481de070cb3f59f4d5f44896",
-    "verify-lemmas L5-1": "11cbd5924a5cbcbc9b25b297e7fdac7632593556481de070cb3f59f4d5f44896",
-    "verify-lemmas L8": "11cbd5924a5cbcbc9b25b297e7fdac7632593556481de070cb3f59f4d5f44896",
+    "verify-lemmas L12": "c25d4060aac03254a78d04e42d9e77b389b930208235be9858f2b08c503982b0",
+    "verify-lemmas L13-1": "d277fb5696f29196df4fa21aa54421921a759dbd080a4358078074830049df8a",
+    "verify-lemmas L17+1": "1f5c0af4fa51546e20ea5d7a1c010f5597153c2fac2796cca83d63560f0d18b3",
+    "verify-lemmas L41+1": "5fbc97e2170b9d95f2ab93a966f7418ccea49d0821f608473e9db65f258a08d8",
+    "verify-lemmas L5-1": "3680730fd774afa09b0625f327a77d46160cef3324fe0c0bfd8880b9f0a97007",
+    "verify-lemmas L8": "a3f8daee4b522913ed89de19482feacc8460513829d313a5b6aa4acddc676f84",
 }
 
 
@@ -84,3 +84,9 @@ def cli_digest(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_artifact_digest(name, tmp_path):
     assert cli_digest(name, tmp_path) == GOLDEN[name]
+
+
+def test_verify_lemmas_digests_name_their_surface():
+    # the header line names the prototype, seed and sample count
+    digests = {GOLDEN[f"verify-lemmas {s}"] for s in SURFACES}
+    assert len(digests) == len(SURFACES)

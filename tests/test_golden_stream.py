@@ -4,9 +4,9 @@ bytes.
 
 A byte-identity check of the CLI artifacts cannot see a change in how many
 random draws a sampler consumes when its printed result happens to be the
-same (``verify-lemmas`` prints only "ok" lines), so this test hashes the
-sampled points themselves.  The digest was computed once from a reference
-run and is never re-derived from the code under test.
+same (``verify-lemmas`` prints a header and "ok" lines), so this test
+hashes the sampled points themselves.  The digest was computed once from a
+reference run and is never re-derived from the code under test.
 """
 
 import hashlib

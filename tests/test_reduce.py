@@ -15,7 +15,18 @@ from lsurf.reduce import (
 )
 from lsurf.schreier import ResourceCapError
 from lsurf.sampling import sample_point
-from lsurf.surface import SurfacePoint, apply_A, apply_B, n_value
+from lsurf.surface import (
+    GeneratorWord,
+    SurfacePoint,
+    apply,
+    apply_A,
+    apply_B,
+    axes,
+    is_A_periodic,
+    is_B_periodic,
+    n_value,
+    numerator_window,
+)
 
 
 def pt(L8, xr, xi, yr, yi):
@@ -32,6 +43,24 @@ def test_in_s_examples(L8):
     assert in_S(pt(L8, -96, 68, 0, 0))  # |x_i| = 68 <= 35 + 24w
     assert not in_S(pt(L8, -141, 100, 0, 0))  # 100 > 35 + 24w
     assert in_S(pt(L8, 2, 0, 1, 0))
+
+
+def _in_S_by_quadnum(P):
+    bound = s_bound(P.proto)
+    return abs(P.x.i) <= bound and abs(P.y.i) <= bound
+
+
+def test_in_s_at_the_boundary_matches_quadnum(L8):
+    # |x_i| or |y_i| just inside and just outside N*(35 + 24w), N = 1..12
+    for N in range(1, 13):
+        edge = (s_bound(L8) * N).floor()
+        for t in (edge - 1, edge, edge + 1):
+            for sign in (1, -1):
+                b = sign * t
+                a = numerator_window(L8.p_low, N, b)[0]
+                c = numerator_window(L8.p_left, N, b)[0]
+                for P in (SurfacePoint(L8, N, a, b, 1, 0), SurfacePoint(L8, N, 0, 1, c, b)):
+                    assert in_S(P) == _in_S_by_quadnum(P) == (t <= edge), (N, t, P)
 
 
 def test_wrong_surface_rejected(L5m1):
@@ -129,3 +158,46 @@ def test_bracket_cap_fires_during_enumeration():
         orbit_class_bracket(1, max_points=10)
     with pytest.raises(ResourceCapError):
         enumerate_S(1, max_points=10)
+
+
+def _reduce_building_both_candidates(P):
+    """Oracle: the reduction loop that built both shrink candidates gen^n P
+    and gen^-n P as points and kept one, testing membership in S with
+    QuadNum; returns (word, output, trace)."""
+    proto, N = P.proto, P.N
+    letters, trace, cur = [], [], P
+    while not _in_S_by_quadnum(cur):
+        if is_B_periodic(cur):
+            cur = apply_A(apply_B(apply_A(cur, 1), -1), -1)
+            letters += [("A", 1), ("B", -1), ("A", -1)]
+            trace.append((1, None))
+        elif is_A_periodic(cur):
+            cur = apply_B(apply_A(apply_B(cur, 1), -1), -1)
+            letters += [("B", 1), ("A", -1), ("B", -1)]
+            trace.append((2, None))
+        else:
+            gen = "A" if abs(cur.b) < abs(cur.d) else "B"
+            u0, u1 = axes(cur, gen)[0]
+            near = proto.sign(u0 - N, u1) < 0
+            n = -proto.quotient(-N, 0, abs(u1), proto.wiring[gen].coeff) if near else 1
+            plus, minus = apply(cur, gen, n), apply(cur, gen, -n)
+            if abs(axes(plus, gen)[1][1]) <= abs(axes(minus, gen)[1][1]):
+                cur, e = plus, n
+            else:
+                cur, e = minus, -n
+            letters.append((gen, e))
+            trace.append((3 if gen == "A" else 4, e))
+    return GeneratorWord(letters), cur, tuple(trace)
+
+
+def test_shrink_step_matches_two_candidate_oracle(L8):
+    rng = random.Random("two-candidates")
+    shrink_steps = 0
+    for N in range(1, 13):
+        for _ in range(12):
+            P = sample_point(L8, N, rng, box=10_000)
+            res = reduce_point(P)
+            assert (res.word, res.output, res.trace) == _reduce_building_both_candidates(P), P
+            assert res.steps == len(res.trace)
+            shrink_steps += sum(case in (3, 4) for case, _ in res.trace)
+    assert shrink_steps > 2000

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from fractions import Fraction as F
 
 import pytest
@@ -28,6 +29,7 @@ from lsurf.schreier import (
     tree_cheeger_profile,
 )
 from lsurf.surface import (
+    InternalError,
     SurfacePoint,
     apply,
     is_A_periodic,
@@ -145,6 +147,64 @@ def test_identity_views_match_equality_oracles(identity_test_balls):
     single = identity_test_balls["single-step L8"]
     n_edges = sum(map(len, single.simple_adjacency().values())) // 2
     assert single.order() == 1076 and n_edges > single.order() - 1  # has cycles
+
+
+def _reference_bfs(ball, P, radius):
+    """Oracle: the BFS that applied every generator power at every vertex,
+    the step back to a vertex's parent included, and tested every image of a
+    pruned ball for pruning."""
+    ball.depth[P] = 0
+    stored = {P: P}
+    queue = deque([P])
+    while queue:
+        point = queue.popleft()
+        d = ball.depth[point]
+        if d >= radius:
+            ball.frontier.add(point)
+            continue
+        for gen in ball.gens:
+            img = apply(point, *gen)
+            assert not (ball.g2 and is_A_periodic(img) and is_B_periodic(img))
+            known = stored.setdefault(img, img)
+            if known is img:
+                ball.depth[img] = d + 1
+                queue.append(img)
+            ball.edges.append((point, known, gen))
+        ball.expanded.add(point)
+    return ball
+
+
+def _edges_by_position(ball):
+    # KeyError unless both ends of every edge are the stored instances
+    position = {id(v): n for n, v in enumerate(ball.depth)}
+    return [(position[id(u)], position[id(v)], g) for u, v, g in ball.edges]
+
+
+@pytest.mark.parametrize("D,eps", [(8, 0), (5, -1), (17, 1)])
+def test_bfs_matches_reference_without_parent_reuse(D, eps):
+    proto = prototype(D, eps)
+    rng = random.Random(f"parent-reuse:{D}:{eps}")
+    starts = [
+        sample_b_periodic_point(proto, rng.randint(1, 3), rng, a_periodic=False),
+        sample_nonperiodic_point(proto, rng.randint(1, 3), rng, box=40),
+        pt(proto, F(1, 5), F(1, 5), F(2, 5), F(1, 5)),  # cycles in its single-step ball
+    ]
+    for P in starts:
+        for ball in (build_G2(P, radius=5), expand_ball(P, SINGLE_STEPS, 5)):
+            ref = OrbitGraph(proto=proto, gens=ball.gens, root=ball.root, g2=ball.g2, N=ball.N)
+            _reference_bfs(ref, ball.root, 5)
+            assert list(ball.depth.items()) == list(ref.depth.items()), P
+            assert _edges_by_position(ball) == _edges_by_position(ref), P
+            assert ball.frontier == ref.frontier and ball.expanded == ref.expanded, P
+
+
+def test_pruned_start_is_an_internal_error(L8, monkeypatch):
+    # a pruned start is fixed by the chosen powers, so every image is the start
+    P = pt(L8, F(1, 3), 0, F(1, 2), 0)
+    assert is_A_periodic(P) and is_B_periodic(P)
+    monkeypatch.setattr("lsurf.schreier.find_non_excluded_start", lambda Q: Q)
+    with pytest.raises(InternalError, match="pruned vertex"):
+        build_G2(P, radius=2)
 
 
 def test_deterministic_export(L8):
