@@ -9,12 +9,20 @@ graph, the Dirichlet bottom mu0(S) = min Rayleigh quotient over functions
 vanishing outside S satisfies  c_S^2/(2k) <= mu0(S) <= k*c_S  with
 c_S = min c(M) over nonempty M inside S, which is the finite, provable form
 of the sandwich used here.
+
+A ``FiniteGraph`` holds its edges twice: as the sorted edge tuple, which
+the exports and the brute-force Cheeger search read, and as one cached CSR
+array pair (row pointers, ascending neighbours), which ``degrees``,
+``graph_ball`` and ``dirichlet_mu0`` read.  ``from_adjacency`` builds both
+with numpy, and ``dirichlet_mu0`` builds the Laplacian restricted to the
+support straight from the support's CSR rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations
 
 import numpy as np
@@ -40,9 +48,26 @@ class SpectralConvergenceError(RuntimeError):
         self.residual = residual
 
 
+def _ranges(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions in the CSR neighbour array of all neighbours of ``rows``,
+    row after row."""
+    starts, lens = indptr[rows], indptr[rows + 1] - indptr[rows]
+    # each row's start minus where its run begins in the output, per entry
+    offsets = np.repeat(starts - np.cumsum(lens) + lens, lens)
+    return offsets + np.arange(offsets.size)
+
+
 @dataclass(frozen=True)
 class FiniteGraph:
-    """Simple undirected graph on vertices 0..n-1."""
+    """Simple undirected graph on vertices 0..n-1.
+
+    ``edges`` lists each edge once as (u, v) with u < v, sorted.  ``csr``
+    holds the same graph as one compressed sparse row array pair, derived
+    once: the neighbours of i, ascending, are
+    ``indices[indptr[i]:indptr[i + 1]]``.  ``degrees``, ``graph_ball`` and
+    ``dirichlet_mu0`` read it; ``adjacency`` (the brute-force Cheeger search)
+    and the exports read ``edges``.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -60,10 +85,21 @@ class FiniteGraph:
 
     @classmethod
     def from_adjacency(cls, adj: dict) -> tuple[FiniteGraph, dict]:
-        """Relabel arbitrary hashable vertices to 0..n-1; returns (graph, id map)."""
+        """Relabel arbitrary hashable vertices to 0..n-1 in the order of
+        ``adj``; returns (graph, id map).  Every neighbour must be a key."""
         ids = {v: i for i, v in enumerate(adj)}
-        edges = [(ids[u], ids[v]) for u in adj for v in adj[u]]
-        return cls.from_edges(len(ids), edges), ids
+        n = len(ids)
+        src = np.repeat(np.arange(n), np.fromiter(map(len, adj.values()), dtype=np.int64, count=n))
+        dst = np.fromiter(
+            map(ids.__getitem__, chain.from_iterable(adj.values())), dtype=np.int64, count=src.size
+        )
+        keep = src != dst  # loops cancel in b(i) - b(j)
+        lo, hi = np.minimum(src, dst)[keep], np.maximum(src, dst)[keep]
+        code = np.unique(lo * n + hi)  # sorted by (lo, hi), each edge once
+        lo, hi = code // n, code % n
+        G = cls(n=n, edges=tuple(zip(lo.tolist(), hi.tolist())))
+        G.__dict__["csr"] = _csr(n, lo, hi)  # fill the cache from these arrays, not the tuple
+        return G, ids
 
     @classmethod
     def from_json_dict(cls, data: dict) -> FiniteGraph:
@@ -74,6 +110,12 @@ class FiniteGraph:
             raise ValueError(f"graph JSON needs 'vertices' and 'edges' lists: {exc!r}") from exc
         return cls.from_edges(n, edges)
 
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices) of the symmetric adjacency, neighbours ascending."""
+        lo, hi = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
+        return _csr(self.n, lo, hi)
+
     def adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {i: set() for i in range(self.n)}
         for u, v in self.edges:
@@ -82,28 +124,38 @@ class FiniteGraph:
         return adj
 
     def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.diff(self.csr[0]).tolist()
 
     @property
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)
 
-    def is_connected(self) -> bool:
-        return self.n == 0 or len(graph_ball(self, 0, self.n)) == self.n
+
+def _csr(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, indices) of the edges {lo[k], hi[k]}, sorted by (lo, hi)."""
+    src, dst = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[order]
 
 
-def _laplacian_matrix(G: FiniteGraph) -> scipy.sparse.csr_matrix:
+def _dirichlet_laplacian(G: FiniteGraph, idx: np.ndarray) -> scipy.sparse.csr_matrix:
+    """The Laplacian restricted to the rows and columns ``idx`` (ascending),
+    with degrees taken in the whole graph."""
     sp, _ = _scipy()
-    diag = np.arange(G.n)
-    u, v = np.array(G.edges, dtype=np.int64).reshape(-1, 2).T
-    rows = np.concatenate([diag, u, v])
-    cols = np.concatenate([diag, v, u])
-    data = np.concatenate([np.array(G.degrees(), dtype=float), -np.ones(2 * len(u))])
-    return sp.coo_matrix((data, (rows, cols)), shape=(G.n, G.n)).tocsr()
+    indptr, indices = G.csr
+    m = idx.size
+    diag = np.arange(m)
+    pos = np.full(G.n, -1, dtype=np.int64)
+    pos[idx] = diag
+    deg = indptr[idx + 1] - indptr[idx]
+    cols = pos[indices[_ranges(indptr, idx)]]  # -1 for neighbours outside
+    inside = cols >= 0
+    rows = np.concatenate([diag, np.repeat(diag, deg)[inside]])
+    cols = np.concatenate([diag, cols[inside]])
+    data = np.concatenate([deg.astype(float), -np.ones(rows.size - m)])
+    return sp.coo_matrix((data, (rows, cols)), shape=(m, m)).tocsr()
 
 
 def dirichlet_mu0(G: FiniteGraph, support: set[int], dense_cutoff: int = 128) -> float:
@@ -111,7 +163,8 @@ def dirichlet_mu0(G: FiniteGraph, support: set[int], dense_cutoff: int = 128) ->
 
     Equals the smallest eigenvalue of the Laplacian restricted to the support
     rows and columns (degrees taken in the full graph); decreasing in the
-    support by inclusion.
+    support by inclusion.  The restricted matrix is built straight from the
+    CSR rows of the support, never as the full matrix.
 
     Supports of up to ``dense_cutoff`` vertices use dense ``eigvalsh``, larger
     ones ARPACK ``eigsh``.  The cutoff is the measured crossover: with one
@@ -121,9 +174,12 @@ def dirichlet_mu0(G: FiniteGraph, support: set[int], dense_cutoff: int = 128) ->
     """
     if not support:
         raise ValueError("support must be nonempty")
-    idx = sorted(support)
+    idx = np.array(sorted(support), dtype=np.int64)
+    if idx[0] < 0 or idx[-1] >= G.n:
+        bad = [v for v in idx.tolist() if not 0 <= v < G.n]
+        raise ValueError(f"support vertices {bad} are not ids of the {G.n}-vertex graph")
     _, spla = _scipy()
-    L = _laplacian_matrix(G)[idx, :][:, idx]
+    L = _dirichlet_laplacian(G, idx)
     m = len(idx)
     if m == 1:
         return float(L[0, 0])
@@ -226,16 +282,20 @@ def cheeger_sandwich_check(G: FiniteGraph, support: set[int]) -> SandwichReport:
 
 
 def graph_ball(G: FiniteGraph, root: int, radius: int) -> set[int]:
-    """Vertex set within the given hop distance of root."""
-    adj = G.adjacency()
-    seen = {root}
-    layer = [root]
+    """Vertex set within the given hop distance of root, one CSR gather
+    per BFS layer."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    if not 0 <= root < G.n:
+        raise ValueError(f"root {root} is not a vertex id of the {G.n}-vertex graph")
+    indptr, indices = G.csr
+    seen = np.zeros(G.n, dtype=bool)
+    seen[root] = True
+    layer = np.array([root], dtype=np.int64)
     for _ in range(radius):
-        nxt = []
-        for v in layer:
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        layer = nxt
-    return seen
+        reached = indices[_ranges(indptr, layer)]
+        layer = np.unique(reached[~seen[reached]])
+        if not layer.size:
+            break
+        seen[layer] = True
+    return set(np.flatnonzero(seen).tolist())

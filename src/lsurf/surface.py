@@ -15,7 +15,12 @@ coordinate v, then subtract one integer floor times the circumference (the
 period, or 1).  With w^2 = e + f*w, multiplying (a + b*w) by the period
 r + s*w is the generator's integer block ((r, e*s), (s, r + f*s)) on (a, b),
 ``SurfaceProto.wiring[gen].block``; ``lsurf.modn`` applies it mod N.  Signs
-and floors are the integer primitives of ``lsurf.quadfield``.
+and floors are the integer primitives of ``lsurf.quadfield``: with
+w = (f + sqrt(D))/2, u + v*w has the sign of ``sign_sqrt(2*u + f*v, v, D)``.
+Each prototype caches its integer constants once (``f``, ``D`` and the
+near-cylinder circumferences ``low`` = p_low and ``left`` = p_left as
+integer pairs), and the point constructor and ``twist``, which run once per
+orbit-ball vertex, call ``sign_sqrt`` on them directly.
 
 Code written once for both generators reads its side through ``axes``,
 ``apply``, ``is_periodic``, ``SurfaceProto.far`` and ``.wiring``:
@@ -114,18 +119,30 @@ class SurfaceProto:
 
     # -- integer wiring: w = (f + sqrt(D))/2 with f = 0 or 1 -----------------
 
+    @cached_property
+    def f(self) -> int:
+        """The f of w = (f + sqrt(D))/2: u + v*w has the sign of
+        ``sign_sqrt(2*u + f*v, v, D)``."""
+        return int(self.eps != 0)
+
+    @cached_property
+    def low(self) -> Pair:
+        """p_low as (r, i), the near-cylinder circumference that B twists by."""
+        return _pair(self.p_low)
+
+    @cached_property
+    def left(self) -> Pair:
+        """p_left as (r, i), the near-cylinder circumference that A twists by."""
+        return _pair(self.p_left)
+
     def sign(self, u: int, v: int) -> int:
         """Exact sign of u + v*w for integers u, v."""
-        return sign_sqrt(2 * u + (self.eps != 0) * v, v, self.D)
-
-    def within(self, N: int, v0: int, v1: int, t: Pair) -> bool:
-        """0 <= (v0 + v1*w)/N < t0 + t1*w."""
-        return self.sign(v0, v1) >= 0 and self.sign(N * t[0] - v0, N * t[1] - v1) > 0
+        return sign_sqrt(2 * u + self.f * v, v, self.D)
 
     def quotient(self, v0: int, v1: int, den: int, d: Divisor) -> int:
         """Exact floor of (v0 + v1*w)/(den*q) for den > 0: v/q = v*(g/q)/g."""
         u, v = shear(d.scale, 1, v0, v1, 0, 0)
-        return floor_sqrt(2 * u + (self.eps != 0) * v, v, self.D, 2 * den * d.g)
+        return floor_sqrt(2 * u + self.f * v, v, self.D, 2 * den * d.g)
 
     def _block(self, q: QuadNum) -> Block:
         # columns q*1 and q*w: ((r, e*s), (s, r + f*s)) for q = r + s*w
@@ -231,16 +248,29 @@ class SurfacePoint:
         g = gcd(N, a, b, c, d)
         if g > 1:
             N, a, b, c, d = N // g, a // g, b // g, c // g, d // g
-        sign, within, wiring = proto.sign, proto.within, proto.wiring
-        if sign(c - N, d) <= 0:  # lower cylinder: 0 <= y <= 1, 0 <= x < p_low
-            inside = sign(c, d) >= 0 and within(N, a, b, wiring["B"].near.q)
+        # each test is the sign of some u + v*w: sign_sqrt(2*u + f*v, v, D)
+        f, D = proto.f, proto.D
+        if sign_sqrt(2 * (c - N) + f * d, d, D) <= 0:  # lower cylinder: 0 <= y <= 1, 0 <= x < p_low
+            r, i = proto.low
+            s, t = N * r - a, N * i - b
+            inside = (
+                sign_sqrt(2 * c + f * d, d, D) >= 0
+                and sign_sqrt(2 * a + f * b, b, D) >= 0
+                and sign_sqrt(2 * s + f * t, t, D) > 0
+            )
         else:  # upper cylinder: 1 < y < p_left, 0 <= x < 1
-            inside = within(N, c, d, wiring["A"].near.q) and within(N, a, b, UNIT.q)
+            r, i = proto.left
+            s, t = N * r - c, N * i - d
+            inside = (
+                sign_sqrt(2 * s + f * t, t, D) > 0
+                and sign_sqrt(2 * a + f * b, b, D) >= 0
+                and sign_sqrt(2 * (N - a) - f * b, -b, D) > 0
+            )
         if not inside:
             raise InvalidPointError(f"({a} + {b}w, {c} + {d}w)/{N} is outside {proto.name}")
         if b == d == 0 and (a == c == 0 or a == c == N):
             raise InvalidPointError("singular corner")
-        if c == N and d == 0 and sign(a - N, b) > 0:
+        if c == N and d == 0 and sign_sqrt(2 * (a - N) + f * b, b, D) > 0:
             c = 0  # (x,1) ~ (x,0) for x > 1; keep smaller coordinates
         put = object.__setattr__  # one call per slot, faster than a loop
         put(self, "N", N)
@@ -321,17 +351,22 @@ def twist(P: SurfacePoint, gen: str, n: int) -> Pair:
     u*period per twist, in the far one (circumference 1) by (u - 1)*period;
     then one exact floor reduces v modulo the circumference.
     """
-    (u0, u1), (v0, v1) = axes(P, gen)
-    proto, N, wiring = P.proto, P.N, P.proto.wiring[gen]
+    proto, N = P.proto, P.N
+    if gen == "A":
+        u0, u1, v0, v1 = P.a, P.b, P.c, P.d
+    else:
+        u0, u1, v0, v1 = P.c, P.d, P.a, P.b
+    f, D, wiring = proto.f, proto.D, proto.wiring[gen]
     modulus = wiring.near
-    if proto.sign(u0 - N, u1) > 0:
+    if sign_sqrt(2 * (u0 - N) + f * u1, u1, D) > 0:  # u > 1: the far cylinder
         u0, modulus = u0 - N, UNIT
     v0, v1 = shear(wiring.block, n, u0, u1, v0, v1)
     k = proto.quotient(v0, v1, N, modulus)
-    t = modulus.q
-    v0, v1 = v0 - k * N * t[0], v1 - k * N * t[1]
-    if not proto.within(N, v0, v1, t):
-        raise InternalError(f"twist remainder ({v0} + {v1}*w)/{N} outside [0, {t[0]} + {t[1]}*w)")
+    t0, t1 = modulus.q
+    v0, v1 = v0 - k * N * t0, v1 - k * N * t1
+    s, t = N * t0 - v0, N * t1 - v1
+    if sign_sqrt(2 * v0 + f * v1, v1, D) < 0 or sign_sqrt(2 * s + f * t, t, D) <= 0:
+        raise InternalError(f"twist remainder ({v0} + {v1}*w)/{N} outside [0, {t0} + {t1}*w)")
     return v0, v1
 
 

@@ -162,8 +162,15 @@ PATH_GRAPH = {
         ({"edges": []}, (), "'vertices'"),
         ([], (), "'vertices'"),
         (PATH_GRAPH, ("--support-radius", "25", "--sandwich"), "brute-force cap 20"),
+        (PATH_GRAPH, ("--support-radius", "-1"), "radius must be >= 0"),
     ],
-    ids=["unknown-root", "no-vertices-key", "not-an-object", "sandwich-over-cap"],
+    ids=[
+        "unknown-root",
+        "no-vertices-key",
+        "not-an-object",
+        "sandwich-over-cap",
+        "negative-support-radius",
+    ],
 )
 def test_spectral_input_errors_are_usage_errors(
     tmp_path, capsys, monkeypatch, graph, extra, message

@@ -5,11 +5,24 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from lsurf.schreier import build_G2, build_regular_tree_ball, build_root_looped_tree
+from lsurf.sampling import (
+    sample_a_periodic_point,
+    sample_b_periodic_point,
+    sample_nonperiodic_point,
+)
+from lsurf.schreier import (
+    ROOT_LOOPED4,
+    TREE4,
+    build_G2,
+    build_regular_tree_ball,
+    build_root_looped_tree,
+    classify_component,
+)
 from lsurf.spectral import (
     FiniteGraph,
-    _laplacian_matrix,
+    _dirichlet_laplacian,
     cheeger_min_over_subsets,
     cheeger_sandwich_check,
     dirichlet_mu0,
@@ -28,6 +41,13 @@ def tree_ball_graph(radius):
     return G, support
 
 
+def root_looped_graph(radius):
+    adj, root, _ = build_root_looped_tree(radius + 1)
+    G, ids = FiniteGraph.from_adjacency(adj)
+    support = graph_ball(G, ids[root], radius)
+    return G, support
+
+
 def path_graph(n):
     return FiniteGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
@@ -37,12 +57,16 @@ def random_graph(rng, n, p):
     return FiniteGraph.from_edges(n, edges)
 
 
+def is_connected(G):
+    return G.n == 0 or len(graph_ball(G, 0, G.n)) == G.n
+
+
 # -- exact operator identities ---------------------------------------------------
 
 
 def laplacian_apply(G, b):
     """The sparse Laplacian's entries, checked integral, applied exactly to b."""
-    L = _laplacian_matrix(G).tocoo()
+    L = _dirichlet_laplacian(G, np.arange(G.n)).tocoo()
     out = [F(0)] * G.n
     for i, j, x in zip(L.row, L.col, L.data):
         assert x == int(x)
@@ -97,7 +121,7 @@ def test_nonnegativity_and_kernel(rng):
         b = [F(rng.randint(-4, 4)) for _ in range(G.n)]
         q = quadratic_form(G, b)
         assert inner(laplacian_apply(G, b), b) == q >= 0
-        if G.is_connected() and q == 0:
+        if is_connected(G) and q == 0:
             assert len(set(b)) == 1
 
 
@@ -121,15 +145,78 @@ def test_monotone_in_support():
     assert dirichlet_mu0(G, inner_support) >= dirichlet_mu0(G, support) - 1e-12
 
 
+def radial_mu0(diag, off):
+    """Dirichlet bottom of a ball from its radial reduction alone: the
+    smallest eigenvalue of the tridiagonal matrix with the given diagonal
+    and off-diagonal (-sqrt of the ratio of consecutive sphere sizes)."""
+    T = np.diag(np.asarray(diag, dtype=float))
+    T += np.diag(off, 1) + np.diag(off, -1)
+    return float(np.linalg.eigvalsh(T)[0])
+
+
+def radial_tree_mu0(radius):
+    """Radius-r ball of the 4-regular tree: spheres 1, 4, 12, 36, ..."""
+    return radial_mu0([4.0] * (radius + 1), [-2.0] + [-math.sqrt(3.0)] * (radius - 1))
+
+
+def radial_looped_mu0(radius):
+    """Radius-r ball of the root-looped tree, the loop dropped: the root has
+    degree 2, spheres 1, 2, 6, 18, ..."""
+    return radial_mu0([2.0] + [4.0] * radius, [-math.sqrt(2.0)] + [-math.sqrt(3.0)] * (radius - 1))
+
+
 def test_tree_ball_values_against_radial_oracle():
-    # independent oracle: radial reduction to a tridiagonal matrix
     for radius in (1, 2, 3, 5):
         G, support = tree_ball_graph(radius)
-        mu0 = dirichlet_mu0(G, support)
-        off = np.array([2.0] + [math.sqrt(3.0)] * (radius - 1))
-        T = np.diag(off, 1) + np.diag(off, -1)
-        mu0_radial = 4 - np.linalg.eigvalsh(T).max()
-        assert mu0 == pytest.approx(mu0_radial, abs=1e-8)
+        assert dirichlet_mu0(G, support) == pytest.approx(radial_tree_mu0(radius), abs=1e-8)
+
+
+def test_radial_looped_oracle_values():
+    # the root-looped Dirichlet bottoms that the orbit-ball benchmark pins
+    # at ball radius 3 and 6 (support radius 2 and 5)
+    assert radial_looped_mu0(2) == pytest.approx(1.0, abs=1e-12)
+    assert radial_looped_mu0(5) == pytest.approx(0.7292155232980937, abs=1e-12)
+
+
+def test_radial_oracles_on_both_solver_branches():
+    # ARPACK at every radius, dense eigvalsh up to 1,000 support vertices
+    # (tree radius 5, root-looped radius 6)
+    cases = ((tree_ball_graph, radial_tree_mu0), (root_looped_graph, radial_looped_mu0))
+    for radius in range(1, 8):
+        for graph, oracle in cases:
+            G, support = graph(radius)
+            for cutoff in (1, 10**6) if len(support) <= 1000 else (1,):
+                got = dirichlet_mu0(G, support, dense_cutoff=cutoff)
+                assert abs(got - oracle(radius)) < 1e-9, (graph.__name__, radius, cutoff, got)
+
+
+def test_radial_oracles_on_orbit_balls():
+    # G2 balls from singly periodic starts (loop at the root) and from doubly
+    # non-periodic ones; each certified shape is checked against its oracle
+    seen = set()
+    for D, eps in ((8, 0), (5, -1), (17, 1)):
+        proto = prototype(D, eps)
+        rng = random.Random(f"radial:{proto.name}")
+        for radius in range(2, 7):
+            for P in (
+                sample_a_periodic_point(proto, rng.randint(1, 3), rng, b_periodic=False),
+                sample_b_periodic_point(proto, rng.randint(1, 3), rng, a_periodic=False),
+                sample_nonperiodic_point(proto, rng.randint(1, 3), rng, box=40),
+            ):
+                ball = build_G2(P, radius=radius)
+                shape = classify_component(ball)
+                if shape.kind == TREE4:
+                    oracle = radial_tree_mu0
+                elif shape.kind == ROOT_LOOPED4 and shape.loop_vertex is ball.root:
+                    oracle = radial_looped_mu0
+                else:
+                    continue
+                G, ids = FiniteGraph.from_adjacency(ball.simple_adjacency())
+                mu0 = dirichlet_mu0(G, graph_ball(G, ids[ball.root], radius - 1))
+                assert abs(mu0 - oracle(radius - 1)) < 1e-9, (proto.name, radius, shape.kind)
+                seen.add((shape.kind, radius))
+    assert {kind for kind, _ in seen} == {TREE4, ROOT_LOOPED4}
+    assert {radius for _, radius in seen} == set(range(2, 7))
 
 
 def test_tree_ball_values_decrease_toward_limit():
@@ -139,13 +226,6 @@ def test_tree_ball_values_decrease_toward_limit():
         values.append(dirichlet_mu0(G, support))
     assert values[0] > values[1] > values[2]
     assert all(v >= TREE_LIMIT - 1e-6 for v in values)
-
-
-def root_looped_graph(radius):
-    adj, root, _ = build_root_looped_tree(radius + 1)
-    G, ids = FiniteGraph.from_adjacency(adj)
-    support = graph_ball(G, ids[root], radius)
-    return G, support
 
 
 def test_sparse_and_dense_paths_agree():
@@ -209,5 +289,128 @@ def test_orbit_ball_json_loads_as_finite_graph(L8):
     data = build_G2(P, radius=2).to_json_dict()
     G = FiniteGraph.from_json_dict(json.loads(json.dumps(data)))
     assert G.n == len(data["vertices"])
-    assert G.is_connected()
+    assert is_connected(G)
     assert G.max_degree <= 4
+
+
+# -- bad vertex ids and radii ---------------------------------------------------------
+
+
+def test_graph_ball_rejects_bad_inputs():
+    G = path_graph(3)
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        graph_ball(G, 0, -2)
+    for root in (-1, 3, 7):
+        with pytest.raises(ValueError, match=f"root {root} is not a vertex id"):
+            graph_ball(G, root, 1)
+    with pytest.raises(ValueError):
+        graph_ball(FiniteGraph.from_edges(0, []), 0, 0)
+
+
+def test_dirichlet_mu0_rejects_support_outside_graph():
+    G = path_graph(3)
+    for support in ({-1, 0}, {3}, {0, 1, 2, 5}):
+        with pytest.raises(ValueError, match="are not ids of the 3-vertex graph"):
+            dirichlet_mu0(G, support)
+
+
+# -- the CSR path against the dict-based oracles --------------------------------------
+#
+# The oracles are the earlier implementations: a Python relabelling through
+# from_edges, a BFS over the dict-of-sets adjacency, and the full Laplacian
+# built from the edge list and then sliced to the support.
+
+
+def oracle_from_adjacency(adj):
+    ids = {v: i for i, v in enumerate(adj)}
+    edges = [(ids[u], ids[v]) for u in adj for v in adj[u]]
+    return FiniteGraph.from_edges(len(ids), edges), ids
+
+
+def oracle_graph_ball(G, root, radius):
+    adj = G.adjacency()
+    seen = {root}
+    layer = [root]
+    for _ in range(radius):
+        nxt = []
+        for v in layer:
+            for u in adj[v]:
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        layer = nxt
+    return seen
+
+
+def oracle_dirichlet_laplacian(G, support):
+    """The sparse Laplacian of the whole graph from its edge list, then
+    sliced to the sorted support rows and columns."""
+    deg = [0] * G.n
+    for u, v in G.edges:
+        deg[u] += 1
+        deg[v] += 1
+    diag = np.arange(G.n)
+    u, v = np.array(G.edges, dtype=np.int64).reshape(-1, 2).T
+    rows = np.concatenate([diag, u, v])
+    cols = np.concatenate([diag, v, u])
+    data = np.concatenate([np.array(deg, dtype=float), -np.ones(2 * len(u))])
+    L = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(G.n, G.n)).tocsr()
+    idx = sorted(support)
+    return L[idx, :][:, idx].toarray()
+
+
+def assert_csr_matches_oracles(adj, root_radii, supports):
+    G, ids = FiniteGraph.from_adjacency(adj)
+    want, want_ids = oracle_from_adjacency(adj)
+    assert ids == want_ids and (G.n, G.edges) == (want.n, want.edges)
+    assert G.degrees() == [len(nbrs) for nbrs in want.adjacency().values()]
+    indptr, indices = G.csr
+    for v, nbrs in want.adjacency().items():
+        assert indices[indptr[v]:indptr[v + 1]].tolist() == sorted(nbrs)
+    for root, radius in root_radii:
+        assert graph_ball(G, root, radius) == oracle_graph_ball(want, root, radius)
+    for support in supports:
+        L = oracle_dirichlet_laplacian(want, support)
+        assert np.array_equal(_dirichlet_laplacian(G, np.array(sorted(support))).toarray(), L)
+        assert abs(dirichlet_mu0(G, support) - np.linalg.eigvalsh(L)[0]) < 1e-12
+
+
+def random_adjacency(rng, n):
+    """Adjacency dict on hashable labels with loops, isolated vertices and
+    one-sided entries (v listed under u but not u under v)."""
+    labels = [("v", rng.randint(0, 10**6), i) for i in range(n)]
+    adj = {v: set() for v in labels}
+    for u in labels:
+        for v in labels:
+            if rng.random() < 0.25:
+                adj[u].add(v)
+                if rng.random() < 0.7:
+                    adj[v].add(u)
+    return adj
+
+
+def test_csr_path_matches_oracles_on_random_graphs():
+    rng = random.Random("csr-differential")
+    for n in [0, 1, 1, 2] + [rng.randint(2, 14) for _ in range(60)]:
+        adj = random_adjacency(rng, n)
+        root_radii = [(rng.randrange(n), rng.randint(0, 4)) for _ in range(3)] if n else []
+        supports = [set(rng.sample(range(n), rng.randint(1, n))) for _ in range(3)] if n else []
+        assert_csr_matches_oracles(adj, root_radii, supports)
+    # a loop, an isolated vertex and a one-sided edge, written out
+    adj = {"a": {"a"}, "b": set(), "c": {"a"}}
+    assert_csr_matches_oracles(adj, [(0, 2), (1, 1)], [{0}, {0, 1, 2}])
+
+
+@pytest.mark.parametrize("D,eps", [(8, 0), (5, -1), (17, 1)])
+def test_csr_path_matches_oracles_on_orbit_balls(D, eps):
+    proto = prototype(D, eps)
+    rng = random.Random(f"csr-balls:{proto.name}")
+    for P in (
+        sample_a_periodic_point(proto, rng.randint(1, 3), rng, b_periodic=False),
+        sample_nonperiodic_point(proto, rng.randint(1, 3), rng, box=40),
+    ):
+        ball = build_G2(P, radius=6)
+        adj = ball.simple_adjacency()
+        root = list(adj).index(ball.root)
+        supports = [oracle_graph_ball(oracle_from_adjacency(adj)[0], root, r) for r in (1, 5)]
+        assert_csr_matches_oracles(adj, [(root, r) for r in range(7)], supports)

@@ -492,6 +492,47 @@ def test_numerator_constructor_matches_oracle():
     assert outcomes == {True, False}
 
 
+def boundary_numerators(proto, N, period, rng):
+    """Numerator pairs over N of the coordinate values 0, 1 and period, one
+    numerator to either side of each (rational and irrational part), and
+    two values drawn from inside [0, period)."""
+    pairs = set()
+    for r, i in ((0, 0), (N, 0), (N * period.r, N * period.i)):
+        r, i = int(r), int(i)
+        pairs.update(((r, i), (r - 1, i), (r + 1, i), (r, i - 1), (r, i + 1)))
+    for _ in range(2):
+        i = rng.randint(-2 * N, 2 * N)
+        pairs.add((rng.choice(numerator_window(period, N, i)), i))
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("D,eps", ALL_SURFACES)
+def test_membership_on_polygon_boundaries(D, eps):
+    # x on 0, 1, p_low and y on 0, 1, p_left, each against every other value
+    proto = prototype(D, eps)
+    rng = random.Random(f"boundaries:{proto.name}")
+    accepted = rejected = 0
+    for N in (1, 2, 3, 5):
+        xs = boundary_numerators(proto, N, proto.p_low, rng)
+        ys = boundary_numerators(proto, N, proto.p_left, rng)
+        for (a, b), (c, d) in itertools.product(xs, ys):
+            x, y = (QuadNum(F(r, N), F(i, N), proto.field) for r, i in ((a, b), (c, d)))
+            try:
+                want = oracle_point(proto, x, y)
+            except ValueError as exc:  # the error type is compared below
+                want = type(exc)
+            else:
+                want = (want[0].r, want[0].i, want[1].r, want[1].i)
+            try:
+                got = SurfacePoint(proto, N, a, b, c, d).key
+            except ValueError as exc:
+                got = type(exc)
+            assert got == want, (proto.name, (N, a, b, c, d))
+            accepted += want is not InvalidPointError
+            rejected += want is InvalidPointError
+    assert accepted > 100 and rejected > 100, (accepted, rejected)
+
+
 def _differential_points(proto, rng):
     """1,600 seeded points: the grid's valid points (the edges), the
     periodic samplers' far- and near-cylinder points, then general points
