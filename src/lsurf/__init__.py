@@ -4,7 +4,7 @@ Coordinates live in a real quadratic field and every orbit computation is
 exact; floating point appears only in eigenvalue estimates and sanity shadows.
 """
 
-from .quadfield import FieldSpec, QuadNum, parse_quadnum, reduce_mod
+from .quadfield import FieldSpec, QuadNum, reduce_mod
 from .surface import (
     GeneratorWord,
     InvalidPointError,
@@ -13,16 +13,12 @@ from .surface import (
     apply_A,
     apply_B,
     apply_word,
-    delta_A,
-    delta_B,
     is_A_periodic,
     is_B_periodic,
     n_value,
     parse_point,
-    parse_word,
     prototype,
     s_value,
-    splitting_ratio,
     surface,
     thresholds,
 )

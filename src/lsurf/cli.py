@@ -174,8 +174,6 @@ def cmd_spectral(args) -> int:
         data = json.load(fh)
     G = FiniteGraph.from_json_dict(data)
     root = args.root if args.root is not None else data.get("root", 0)
-    if not isinstance(root, int) or not 0 <= root < G.n:
-        raise ValueError(f"root {root} is not a vertex id of the {G.n}-vertex graph")
     support = graph_ball(G, root, args.support_radius)
     # the brute-force Cheeger minimum raises ValueError beyond 20 vertices,
     # before the sandwich check spends an eigensolve on mu0

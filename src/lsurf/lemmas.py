@@ -191,6 +191,8 @@ ALL_CHECKS = (
 
 def run_suites(proto: SurfaceProto, seed: int, samples: int) -> list[SuiteReport]:
     """Run every suite with one derived rng per suite (order-stable)."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     reports = []
     for idx, check in enumerate(ALL_CHECKS):
         rng = random.Random(f"{seed}:{proto.name}:{idx}")

@@ -44,9 +44,6 @@ class ModNVec:
         if gcd(self.a, self.b, self.c, self.d, self.N) != 1:
             raise ValueError("gcd(a, b, c, d, N) must be 1")
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
     def __str__(self) -> str:
         return f"[{self.a},{self.b},{self.c},{self.d}] mod {self.N}"
 

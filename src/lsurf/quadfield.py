@@ -10,7 +10,6 @@ directly on point numerators.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
@@ -51,7 +50,6 @@ class FieldSpec:
 
     e: Fraction
     f: Fraction
-    label: str = ""
     m: Fraction = dc_field(init=False, compare=False)  # discriminant f^2 + 4e
 
     def __post_init__(self) -> None:
@@ -181,12 +179,6 @@ class QuadNum:
         p, q, m, _ = self._surd()
         return sign_sqrt(p, q, m)
 
-    def is_zero(self) -> bool:
-        return self.r == 0 and self.i == 0
-
-    def is_rational(self) -> bool:
-        return self.i == 0
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadNum):
             return self.field == other.field and self.r == other.r and self.i == other.i
@@ -240,31 +232,6 @@ class QuadNum:
         return f"QuadNum({self.r!r}, {self.i!r})"
 
 
-_QUADNUM_RE = re.compile(
-    r"""^\s*(?P<r>[+-]?\d+(?:/\d+)?)\s*
-         (?:(?P<sep>[+-])\s*(?P<i>\d+(?:/\d+)?)\s*\*\s*w)?\s*$""",
-    re.VERBOSE,
-)
-
-
-def parse_quadnum(text: str, field: FieldSpec) -> QuadNum:
-    """Parse the textual form "r+i*w" with r, i as reduced fractions.
-
-    Round-trips bit-exactly with str(QuadNum); bare rationals are accepted.
-    """
-    mo = _QUADNUM_RE.match(text)
-    if mo is None:
-        raise ValueError(f"cannot parse quadratic number: {text!r}")
-    r = Fraction(mo.group("r"))
-    if mo.group("i") is None:
-        i = Fraction(0)
-    else:
-        i = Fraction(mo.group("i"))
-        if mo.group("sep") == "-":
-            i = -i
-    return QuadNum(r, i, field)
-
-
 def reduce_mod(a: QuadNum, p: QuadNum) -> tuple[int, QuadNum]:
     """Division with remainder: a = q*p + rem with 0 <= rem < p.
 
@@ -288,10 +255,3 @@ def qmax(first: QuadNum, *rest: QuadNum) -> QuadNum:
             out = x
     return out
 
-
-def qmin(first: QuadNum, *rest: QuadNum) -> QuadNum:
-    out = first
-    for x in rest:
-        if x < out:
-            out = x
-    return out

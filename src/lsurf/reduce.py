@@ -51,17 +51,16 @@ class ReduceProgressError(InternalError):
     """The 2-step decrease of max(|x_i|, |y_i|) failed: internal error."""
 
 
-def _require_l8(P: SurfacePoint) -> None:
-    if P.proto != _L8:
-        raise ValueError(f"reduction is implemented for L8 only, got {P.proto.name}")
+def _l8(proto: SurfaceProto | None) -> SurfaceProto:
+    """L8, for None or L8: S and the reduction into it exist only there."""
+    if proto not in (_L8, None):
+        raise ValueError(f"reduction into S is defined for L8 only, got {proto.name}")
+    return _L8
 
 
 def s_bound(proto: SurfaceProto | None = None) -> QuadNum:
     """The complexity cutoff 35 + 24w defining membership in S."""
-    proto = proto if proto is not None else _L8
-    if proto != _L8:
-        raise ValueError("S is defined for L8 only")
-    return QuadNum(35, 24, proto.field)
+    return QuadNum(35, 24, _l8(proto).field)
 
 
 _S_PAIR = (s_bound().r.numerator, s_bound().i.numerator)  # its parts are integers
@@ -76,7 +75,7 @@ def _s_cutoff(N: int) -> int:
 
 def in_S(P: SurfacePoint) -> bool:
     """Exact membership test |x_i| <= 35+24w and |y_i| <= 35+24w."""
-    _require_l8(P)
+    _l8(P.proto)
     return max(abs(P.b), abs(P.d)) <= _s_cutoff(P.N)
 
 
@@ -100,7 +99,7 @@ def reduce_point(P: SurfacePoint, check: bool = False) -> ReduceResult:
     candidates are compared on their moved numerators, and only the winner
     is built as a point.
     """
-    _require_l8(P)
+    _l8(P.proto)
     proto, N = P.proto, P.N
     cutoff = _s_cutoff(N)
     letters: list[tuple[str, int]] = []
@@ -163,8 +162,8 @@ def enumerate_S(
     deduplicate through canonical normalization.  Raises ResourceCapError as
     soon as more than max_points points exist.
     """
-    proto = proto if proto is not None else _L8
-    nb = (s_bound(proto) * N).floor()
+    proto = _l8(proto)
+    nb = _s_cutoff(N)
     points: dict[SurfacePoint, None] = {}  # insertion-ordered set
     x_pairs = [
         (a, b, gcd(a, b, N))
@@ -229,7 +228,7 @@ def orbit_class_bracket(
     edges stay within one true orbit, so the component count bounds the orbit
     count from above while C(N) bounds it from below.
     """
-    proto = proto if proto is not None else _L8
+    proto = _l8(proto)
     pts = enumerate_S(N, proto, max_points)
     excluded = []
     vertices: list[SurfacePoint] = []

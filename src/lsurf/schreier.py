@@ -183,6 +183,8 @@ def expand_ball(
     max_vertices: int = 200_000,
 ) -> OrbitGraph:
     """BFS ball of the given radius; vertices deduplicated by exact coordinates."""
+    if any(exp == 0 for _, exp in gens):
+        raise ValueError("generator exponents must be nonzero")
     ball = OrbitGraph(proto=P.proto, gens=_gen_order(gens), root=P)
     return _bfs(ball, P, radius, max_vertices)
 

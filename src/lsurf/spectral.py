@@ -10,19 +10,17 @@ vanishing outside S satisfies  c_S^2/(2k) <= mu0(S) <= k*c_S  with
 c_S = min c(M) over nonempty M inside S, which is the finite, provable form
 of the sandwich used here.
 
-A ``FiniteGraph`` holds its edges twice: as the sorted edge tuple, which
-the exports and the brute-force Cheeger search read, and as one cached CSR
-array pair (row pointers, ascending neighbours), which ``degrees``,
-``graph_ball`` and ``dirichlet_mu0`` read.  ``from_adjacency`` builds both
-with numpy, and ``dirichlet_mu0`` builds the Laplacian restricted to the
-support straight from the support's CSR rows.
+A ``FiniteGraph`` holds its edges twice, both set at construction by one
+numpy build: as the sorted edge tuple, which equality compares, and as one
+CSR array pair (row pointers, ascending neighbours), which every computation
+reads; ``dirichlet_mu0`` builds the Laplacian restricted to the support
+straight from the support's CSR rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, combinations
 
 import numpy as np
@@ -59,29 +57,42 @@ def _ranges(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FiniteGraph:
-    """Simple undirected graph on vertices 0..n-1.
+    """Simple undirected graph on vertices 0..n-1, compared by (n, edges).
 
     ``edges`` lists each edge once as (u, v) with u < v, sorted.  ``csr``
-    holds the same graph as one compressed sparse row array pair, derived
-    once: the neighbours of i, ascending, are
-    ``indices[indptr[i]:indptr[i + 1]]``.  ``degrees``, ``graph_ball`` and
-    ``dirichlet_mu0`` read it; ``adjacency`` (the brute-force Cheeger search)
-    and the exports read ``edges``.
+    holds the same graph as one compressed sparse row array pair: the
+    neighbours of i, ascending, are ``indices[indptr[i]:indptr[i + 1]]``.
+    Every constructor sets both through ``_build``, which drops loops and
+    duplicate edges; the computations here read ``csr``.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
+    csr: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
+
+    @classmethod
+    def _build(cls, n: int, src: np.ndarray, dst: np.ndarray) -> FiniteGraph:
+        """The graph of the edges {src[k], dst[k]} (int64 ids in 0..n-1)."""
+        keep = src != dst  # loops cancel in b(i) - b(j)
+        lo, hi = np.minimum(src, dst)[keep], np.maximum(src, dst)[keep]
+        code = np.unique(lo * n + hi)  # sorted by (lo, hi), each edge once
+        lo, hi = code // n, code % n
+        # CSR rows: both directions, sorted by (row, neighbour)
+        rows, nbrs = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        csr = (indptr, nbrs[np.lexsort((nbrs, rows))])
+        return cls(n=n, edges=tuple(zip(lo.tolist(), hi.tolist())), csr=csr)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> FiniteGraph:
-        seen = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            if u == v:
-                continue  # loops cancel in b(i) - b(j)
-            seen.add((min(u, v), max(u, v)))
-        return cls(n=n, edges=tuple(sorted(seen)))
+        """The graph of the (u, v) pairs; ids must be ints in 0..n-1."""
+        ids = [x for u, v in edges for x in (u, v)]
+        bad = [x for x in ids if type(x) is not int or not 0 <= x < n]  # a bool is no id
+        if bad:
+            raise ValueError(f"vertex ids {bad[:5]} are not ints in 0..{n - 1}")
+        src, dst = np.array(ids, dtype=np.int64).reshape(-1, 2).T
+        return cls._build(n, src, dst)
 
     @classmethod
     def from_adjacency(cls, adj: dict) -> tuple[FiniteGraph, dict]:
@@ -93,35 +104,22 @@ class FiniteGraph:
         dst = np.fromiter(
             map(ids.__getitem__, chain.from_iterable(adj.values())), dtype=np.int64, count=src.size
         )
-        keep = src != dst  # loops cancel in b(i) - b(j)
-        lo, hi = np.minimum(src, dst)[keep], np.maximum(src, dst)[keep]
-        code = np.unique(lo * n + hi)  # sorted by (lo, hi), each edge once
-        lo, hi = code // n, code % n
-        G = cls(n=n, edges=tuple(zip(lo.tolist(), hi.tolist())))
-        G.__dict__["csr"] = _csr(n, lo, hi)  # fill the cache from these arrays, not the tuple
-        return G, ids
+        return cls._build(n, src, dst), ids
 
     @classmethod
     def from_json_dict(cls, data: dict) -> FiniteGraph:
         try:
-            n = len(data["vertices"])
-            edges = [(e["src"], e["dst"]) for e in data["edges"]]
+            vertices, edges = data["vertices"], data["edges"]
+            if not (isinstance(vertices, list) and isinstance(edges, list)):
+                raise TypeError("'vertices' and 'edges' must be lists")
+            pairs = [(e["src"], e["dst"]) for e in edges]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"graph JSON needs 'vertices' and 'edges' lists: {exc!r}") from exc
-        return cls.from_edges(n, edges)
-
-    @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) of the symmetric adjacency, neighbours ascending."""
-        lo, hi = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
-        return _csr(self.n, lo, hi)
+        return cls.from_edges(len(vertices), pairs)
 
     def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {i: set() for i in range(self.n)}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+        indptr, indices = self.csr
+        return {i: set(indices[indptr[i] : indptr[i + 1]].tolist()) for i in range(self.n)}
 
     def degrees(self) -> list[int]:
         return np.diff(self.csr[0]).tolist()
@@ -129,15 +127,6 @@ class FiniteGraph:
     @property
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)
-
-
-def _csr(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (indptr, indices) of the edges {lo[k], hi[k]}, sorted by (lo, hi)."""
-    src, dst = np.concatenate([lo, hi]), np.concatenate([hi, lo])
-    order = np.lexsort((dst, src))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst[order]
 
 
 def _dirichlet_laplacian(G: FiniteGraph, idx: np.ndarray) -> scipy.sparse.csr_matrix:
@@ -286,7 +275,7 @@ def graph_ball(G: FiniteGraph, root: int, radius: int) -> set[int]:
     per BFS layer."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    if not 0 <= root < G.n:
+    if type(root) is not int or not 0 <= root < G.n:  # a bool is no id
         raise ValueError(f"root {root} is not a vertex id of the {G.n}-vertex graph")
     indptr, indices = G.csr
     seen = np.zeros(G.n, dtype=bool)

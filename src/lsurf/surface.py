@@ -199,9 +199,9 @@ def prototype(D: int, eps: int = 0) -> SurfaceProto:
         raise ValueError("eps must be 0, +1 or -1")
 
     if eps == 0:
-        fs = FieldSpec(Fraction(D, 4), Fraction(0), label="sqrt(D/4)")
+        fs = FieldSpec(Fraction(D, 4), Fraction(0))
     else:
-        fs = FieldSpec(Fraction(D - 1, 4), Fraction(1), label="(1+sqrt(D))/2")
+        fs = FieldSpec(Fraction(D - 1, 4), Fraction(1))
     low, left = (fs.w + c for c in _PERIODS[eps])
     proto = SurfaceProto(D=D, eps=eps, field=fs, p_low=low, p_left=left)
     if proto.upper_height.sign() <= 0:
@@ -397,16 +397,6 @@ def axes(P: SurfacePoint, gen: str) -> tuple[Pair, Pair]:
     return (x, y) if gen == "A" else (y, x)
 
 
-def delta_A(P: SurfacePoint, k: int) -> Fraction:
-    """Exact increment of the irrational part of y under the k-th vertical power."""
-    return apply_A(P, k).y.i - P.y.i
-
-
-def delta_B(P: SurfacePoint, l: int) -> Fraction:
-    """Exact increment of the irrational part of x under the l-th horizontal power."""
-    return apply_B(P, l).x.i - P.x.i
-
-
 def is_periodic(P: SurfacePoint, gen: str) -> bool:
     """Finite orbit under gen: the twisted coordinate u has a rational
     splitting ratio, u itself in the near cylinder (u <= 1), (u - 1)/far in
@@ -426,22 +416,6 @@ def is_B_periodic(P: SurfacePoint) -> bool:
 def is_A_periodic(P: SurfacePoint) -> bool:
     """Finite orbit under the vertical parabolic (rational splitting ratio)."""
     return is_periodic(P, "A")
-
-
-def splitting_ratio(P: SurfacePoint, direction: str) -> QuadNum:
-    """Height of the point in its cylinder divided by the cylinder height.
-
-    direction "horizontal" uses the cylinders twisted by B, "vertical" the
-    ones twisted by A; the boundary y=1 (resp. x=1) counts as the near
-    cylinder.  The ratio is rational iff the point is periodic under the
-    corresponding generator (``is_periodic``).
-    """
-    gen = {"horizontal": "B", "vertical": "A"}.get(direction)
-    if gen is None:
-        raise ValueError(f"direction must be 'horizontal' or 'vertical', got {direction!r}")
-    u = P.x if gen == "A" else P.y
-    off = u - 1
-    return u if off.sign() <= 0 else off / P.proto.far(gen)
 
 
 def s_value(P: SurfacePoint) -> Fraction:
@@ -542,20 +516,6 @@ class GeneratorWord:
 
     def __repr__(self) -> str:
         return f"GeneratorWord({list(self.letters)!r})"
-
-
-def parse_word(text: str) -> GeneratorWord:
-    """Inverse of str(): letters in composition order, e.g. "A^-1 B^2"."""
-    text = text.strip()
-    if not text or text == "<empty>":
-        return GeneratorWord()
-    letters: list[tuple[str, int]] = []
-    for tok in text.split():
-        mo = re.match(r"^([AB])\^(-?\d+)$", tok)
-        if mo is None:
-            raise ValueError(f"bad word token {tok!r}")
-        letters.append((mo.group(1), int(mo.group(2))))
-    return GeneratorWord(tuple(reversed(letters)))
 
 
 def apply_word(P: SurfacePoint, word: GeneratorWord) -> SurfacePoint:

@@ -155,6 +155,11 @@ PATH_GRAPH = {
 }
 
 
+def _with_edge(src, dst):
+    """PATH_GRAPH with one more edge, as JSON would give it."""
+    return dict(PATH_GRAPH, edges=[*PATH_GRAPH["edges"], {"src": src, "dst": dst}])
+
+
 @pytest.mark.parametrize(
     "graph,extra,message",
     [
@@ -163,6 +168,12 @@ PATH_GRAPH = {
         ([], (), "'vertices'"),
         (PATH_GRAPH, ("--support-radius", "25", "--sandwich"), "brute-force cap 20"),
         (PATH_GRAPH, ("--support-radius", "-1"), "radius must be >= 0"),
+        (_with_edge(0, 1.5), (), "vertex ids [1.5] are not ints in 0..29"),
+        (_with_edge("a", 1), (), "vertex ids ['a'] are not ints in 0..29"),
+        (_with_edge(0, True), (), "vertex ids [True] are not ints in 0..29"),
+        (dict(PATH_GRAPH, root=True), (), "root True is not a vertex id"),
+        (dict(PATH_GRAPH, vertices="abc"), (), "must be lists"),
+        (dict(PATH_GRAPH, edges={"src": 0, "dst": 1}), (), "must be lists"),
     ],
     ids=[
         "unknown-root",
@@ -170,6 +181,12 @@ PATH_GRAPH = {
         "not-an-object",
         "sandwich-over-cap",
         "negative-support-radius",
+        "float-id",
+        "string-id",
+        "bool-id",
+        "bool-root",
+        "vertices-not-a-list",
+        "edges-not-a-list",
     ],
 )
 def test_spectral_input_errors_are_usage_errors(
@@ -194,6 +211,24 @@ def test_negative_radius_is_usage_error(capsys, command):
     captured = capsys.readouterr()
     assert code == 2
     assert "radius must be >= 0" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify-lemmas", "--samples", "-1"], "samples must be >= 1"),
+        (["verify-lemmas", "--samples", "0"], "samples must be >= 1"),
+        (["explore", "--point", "1/3,1/3,1/2,0", "--k", "0"], "exponents must be nonzero"),
+        (["explore", "--point", "1/3,1/3,1/2,0", "--l", "0"], "exponents must be nonzero"),
+    ],
+    ids=["samples -1", "samples 0", "explore --k 0", "explore --l 0"],
+)
+def test_empty_checks_and_identity_generators_are_usage_errors(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_closed_stdout_exits_quietly():

@@ -44,7 +44,8 @@ def test_vec_validation():
         ModNVec(2, 0, 0, 0, 0)  # gcd with N is 2
     with pytest.raises(ValueError):
         ModNVec(3, 3, 0, 0, 1)  # out of range
-    assert ModNVec(1, 0, 0, 0, 0).as_tuple() == (0, 0, 0, 0)
+    v = ModNVec(1, 0, 0, 0, 0)
+    assert (v.a, v.b, v.c, v.d) == (0, 0, 0, 0)
 
 
 def test_act_worked_example():

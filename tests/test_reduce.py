@@ -160,6 +160,17 @@ def test_bracket_cap_fires_during_enumeration():
         enumerate_S(1, max_points=10)
 
 
+def test_s_is_l8_only(L5m1, monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("S was enumerated before the prototype was refused")
+
+    monkeypatch.setattr("lsurf.reduce.numerator_window", no_enumeration)
+    with pytest.raises(ValueError, match="S is defined for L8 only"):
+        enumerate_S(1, L5m1)
+    with pytest.raises(ValueError, match="S is defined for L8 only"):
+        orbit_class_bracket(1, L5m1)
+
+
 def _reduce_building_both_candidates(P):
     """Oracle: the reduction loop that built both shrink candidates gen^n P
     and gen^-n P as points and kept one, testing membership in S with

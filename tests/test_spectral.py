@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -314,27 +315,35 @@ def test_dirichlet_mu0_rejects_support_outside_graph():
             dirichlet_mu0(G, support)
 
 
-# -- the CSR path against the dict-based oracles --------------------------------------
+# -- the CSR path against plain-Python oracles ----------------------------------------
 #
-# The oracles are the earlier implementations: a Python relabelling through
-# from_edges, a BFS over the dict-of-sets adjacency, and the full Laplacian
-# built from the edge list and then sliced to the support.
+# The oracles share no code with lsurf.spectral: the graph is the sorted set
+# of (min, max) id pairs with loops dropped, with neighbour lists for the CSR
+# rows; the ball is a BFS over those lists, and the Laplacian is built from
+# the edge list as a whole-graph sparse matrix, then sliced to the support.
 
 
-def oracle_from_adjacency(adj):
+def oracle_graph(adj):
+    """(id map, sorted edge list, ascending neighbour list per id) of an
+    adjacency dict, vertices numbered in the order of ``adj``."""
     ids = {v: i for i, v in enumerate(adj)}
-    edges = [(ids[u], ids[v]) for u in adj for v in adj[u]]
-    return FiniteGraph.from_edges(len(ids), edges), ids
+    edges = sorted(
+        {(min(ids[u], ids[v]), max(ids[u], ids[v])) for u in adj for v in adj[u] if u != v}
+    )
+    nbrs = [[] for _ in ids]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return ids, edges, [sorted(vs) for vs in nbrs]
 
 
-def oracle_graph_ball(G, root, radius):
-    adj = G.adjacency()
+def oracle_graph_ball(nbrs, root, radius):
     seen = {root}
     layer = [root]
     for _ in range(radius):
         nxt = []
         for v in layer:
-            for u in adj[v]:
+            for u in nbrs[v]:
                 if u not in seen:
                     seen.add(u)
                     nxt.append(u)
@@ -342,37 +351,44 @@ def oracle_graph_ball(G, root, radius):
     return seen
 
 
-def oracle_dirichlet_laplacian(G, support):
+def oracle_dirichlet_laplacian(n, edges, support):
     """The sparse Laplacian of the whole graph from its edge list, then
     sliced to the sorted support rows and columns."""
-    deg = [0] * G.n
-    for u, v in G.edges:
+    deg = [0] * n
+    for u, v in edges:
         deg[u] += 1
         deg[v] += 1
-    diag = np.arange(G.n)
-    u, v = np.array(G.edges, dtype=np.int64).reshape(-1, 2).T
+    diag = np.arange(n)
+    u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
     rows = np.concatenate([diag, u, v])
     cols = np.concatenate([diag, v, u])
     data = np.concatenate([np.array(deg, dtype=float), -np.ones(2 * len(u))])
-    L = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(G.n, G.n)).tocsr()
+    L = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
     idx = sorted(support)
     return L[idx, :][:, idx].toarray()
 
 
 def assert_csr_matches_oracles(adj, root_radii, supports):
+    want_ids, edges, nbrs = oracle_graph(adj)
+    n = len(want_ids)
     G, ids = FiniteGraph.from_adjacency(adj)
-    want, want_ids = oracle_from_adjacency(adj)
-    assert ids == want_ids and (G.n, G.edges) == (want.n, want.edges)
-    assert G.degrees() == [len(nbrs) for nbrs in want.adjacency().values()]
-    indptr, indices = G.csr
-    for v, nbrs in want.adjacency().items():
-        assert indices[indptr[v]:indptr[v + 1]].tolist() == sorted(nbrs)
-    for root, radius in root_radii:
-        assert graph_ball(G, root, radius) == oracle_graph_ball(want, root, radius)
-    for support in supports:
-        L = oracle_dirichlet_laplacian(want, support)
-        assert np.array_equal(_dirichlet_laplacian(G, np.array(sorted(support))).toarray(), L)
-        assert abs(dirichlet_mu0(G, support) - np.linalg.eigvalsh(L)[0]) < 1e-12
+    assert ids == want_ids
+    # from_edges on the same ids, with both directions, duplicates and loops
+    H = FiniteGraph.from_edges(n, [(ids[u], ids[v]) for u in adj for v in adj[u]])
+    for graph in (G, H):
+        assert (graph.n, graph.edges) == (n, tuple(edges))
+        assert graph.degrees() == [len(vs) for vs in nbrs]
+        assert graph.adjacency() == {i: set(vs) for i, vs in enumerate(nbrs)}
+        indptr, indices = graph.csr
+        assert indptr.tolist() == [0] + list(itertools.accumulate(map(len, nbrs)))
+        assert indices.tolist() == [u for vs in nbrs for u in vs]
+        for root, radius in root_radii:
+            assert graph_ball(graph, root, radius) == oracle_graph_ball(nbrs, root, radius)
+        for support in supports:
+            L = oracle_dirichlet_laplacian(n, edges, support)
+            got = _dirichlet_laplacian(graph, np.array(sorted(support))).toarray()
+            assert np.array_equal(got, L)
+            assert abs(dirichlet_mu0(graph, support) - np.linalg.eigvalsh(L)[0]) < 1e-12
 
 
 def random_adjacency(rng, n):
@@ -412,5 +428,6 @@ def test_csr_path_matches_oracles_on_orbit_balls(D, eps):
         ball = build_G2(P, radius=6)
         adj = ball.simple_adjacency()
         root = list(adj).index(ball.root)
-        supports = [oracle_graph_ball(oracle_from_adjacency(adj)[0], root, r) for r in (1, 5)]
+        nbrs = oracle_graph(adj)[2]
+        supports = [oracle_graph_ball(nbrs, root, r) for r in (1, 5)]
         assert_csr_matches_oracles(adj, [(root, r) for r in range(7)], supports)
