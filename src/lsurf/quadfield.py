@@ -5,7 +5,9 @@ The generator w is the positive root of ``w**2 = e + f*w`` (so
 pair ``r + i*w`` with rational r, i.  Comparisons and floors rewrite the
 value as (p + q*sqrt(m))/den with integers and go through the two integer
 primitives ``sign_sqrt`` and ``floor_sqrt``, which ``lsurf.surface`` calls
-directly on point numerators.
+directly on point numerators.  ``sign_sqrt_array`` and ``floor_sqrt_array``
+are the same two primitives lane by lane on numpy arrays, for the orbit-ball
+level kernel of ``lsurf.surface``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, lcm
+from math import isqrt, lcm, sqrt
+
+import numpy as np
 
 
 def _is_square_fraction(x: Fraction) -> bool:
@@ -42,6 +46,51 @@ def floor_sqrt(p: int, q: int, m: int, den: int) -> int:
     fraction in [0, 1) that never carries past a multiple of den."""
     t = isqrt(q * q * m)
     return (p + (t if q >= 0 else -t - 1)) // den
+
+
+# p*|p| + q*|q|*m is exact in int64 while |p| < 2**31 and q*q*m < 2**62.
+_P_LIMIT = 2**31
+
+
+def _q_limit(m: int) -> int:
+    """Largest |q| with q*q*m < 2**62."""
+    return isqrt((2**62 - 1) // m)
+
+
+def _max(x: np.ndarray) -> int:
+    return int(np.maximum.reduce(x, axis=None, initial=0))
+
+
+def sign_sqrt_array(p: np.ndarray, q: np.ndarray, m: int) -> np.ndarray:
+    """``sign_sqrt`` lane by lane on int64 or object (Python int) arrays.
+
+    p + q*sqrt(m) has the sign of p*|p| + q*|q|*m, which is never 0 unless
+    p = q = 0.  int64 lanes past the square guard are computed on Python ints,
+    and the signs come back as int64.
+    """
+    ap, aq = np.abs(p), np.abs(q)
+    if p.dtype != object and (_max(ap) >= _P_LIMIT or _max(aq) > _q_limit(m)):
+        return sign_sqrt_array(p.astype(object), q.astype(object), m).astype(np.int64)
+    return np.sign(p * ap + q * aq * m)
+
+
+def floor_sqrt_array(p: np.ndarray, q: np.ndarray, m: int, den) -> np.ndarray:
+    """``floor_sqrt`` lane by lane on int64 or object (Python int) arrays, den > 0.
+
+    On int64 lanes t = isqrt(q*q*m) starts from the float |q|*sqrt(m), which
+    is off by less than 1 while |q|*sqrt(m) < 2**31, and one exact integer
+    step each way corrects it.  Lanes past the square guard use ``isqrt`` on
+    Python ints; the caller keeps p + t and the quotient within int64.
+    """
+    aq = np.abs(q)
+    if q.dtype == object or _max(aq) > _q_limit(m):
+        t = np.array([isqrt(x * x * m) for x in q.tolist()], dtype=object).astype(q.dtype)
+    else:
+        qq = aq * aq * m
+        t = np.floor(aq * sqrt(m)).astype(np.int64)
+        t -= t * t > qq
+        t += (t + 1) * (t + 1) <= qq
+    return (p + np.where(q >= 0, t, -t - 1)) // den
 
 
 @dataclass(frozen=True)

@@ -6,26 +6,46 @@ ball of finite radius can only certify the *local* structure a component is
 predicted to have (4-valent tree, or the same tree with one loop at a singly
 periodic root); the verdict is evidence about the infinite component, not a
 proof.
+
+A ball grows one BFS level at a time.  The level's numerators (a, b, c, d)
+sit in numpy arrays over the shared N, an orbit invariant.  One call per
+generator letter applies all that letter's powers to every vertex
+(``surface.twist_lanes``, with a per-lane exponent), and one call tests
+every image for polygon membership, the singular corners, the top edge and
+periodicity (``surface.check_lanes``).  The arrays are int64 while
+``surface.lane_dtype`` bounds every value below 2**62, else Python ints in
+object arrays, and a sign or floor whose int64 square could overflow runs on
+Python ints (``quadfield.sign_sqrt_array``), so every test is exact; a float
+only seeds the integer square root.  The images are looked up in the order
+of the vertex-by-vertex BFS, each vertex's images in ``gens`` order, so the
+ball, its BFS order and the partial ball that the vertex cap leaves are
+those of the vertex-by-vertex BFS on the scalar step ``apply``, which stays
+as the oracle.  A level of fewer than ``_SCALAR_IMAGES`` images, where the
+arrays' fixed cost does not pay, steps through ``apply`` itself, and a
+large level is looked up ``_CHUNK_VERTICES`` source vertices at a time.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import cycle, groupby, islice, repeat
 from math import inf
+
+import numpy as np
 
 from .surface import (
     InternalError,
     SurfacePoint,
     SurfaceProto,
     apply,
+    check_lanes,
     is_A_periodic,
     is_B_periodic,
-    is_periodic,
+    lane_dtype,
     s_value,
     thresholds,
+    twist_lanes,
 )
 
 GenPower = tuple[str, int]
@@ -54,7 +74,10 @@ class OrbitGraph:
 
     Both ends of every edge are the instances stored in ``depth`` (``_bfs``
     records a known vertex, not the equal image it just built), so code
-    reading a ball may compare vertices by identity.
+    reading a ball may compare vertices by identity.  The expanded vertices
+    are the first ones in ``depth``, and the k-th of them has its
+    ``len(gens)`` out-edges, in ``gens`` order, at the k-th block of
+    ``edges``.
     """
 
     proto: SurfaceProto
@@ -133,46 +156,125 @@ def _jointly_periodic(P: SurfacePoint) -> bool:
     return is_A_periodic(P) and is_B_periodic(P)
 
 
+def _level_images(
+    proto: SurfaceProto, gens: tuple[GenPower, ...], N: int, level: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Numerators (a, b, c, d) of every image of one BFS level, as a (4, lanes)
+    array in the order vertex by vertex, ``gens`` order within a vertex, and
+    the lanes periodic under both generators.
+
+    ``level`` holds the level's numerators as a (4, vertices) array.  One
+    ``twist_lanes`` call per generator letter steps every vertex by all that
+    letter's powers at once, and one ``check_lanes`` call tests every image.
+    """
+    n_v = level.shape[1]
+    images = np.empty((4, n_v, len(gens)), dtype=level.dtype)
+    col = 0
+    for gen, powers in groupby(gens, key=lambda ge: ge[0]):
+        exps = np.array([e for _, e in powers], dtype=level.dtype)
+        k = len(exps)
+        lanes = np.repeat(level, k, axis=1)  # lane i*k + j: vertex i, power j
+        a, b, c, d = lanes
+        n = np.tile(exps, n_v)
+        if gen == "A":
+            lanes[2], lanes[3] = twist_lanes(proto, gen, N, a, b, c, d, n)
+        else:
+            lanes[0], lanes[1] = twist_lanes(proto, gen, N, c, d, a, b, n)
+        images[:, :, col : col + k] = lanes.reshape(4, n_v, k)
+        col += k
+    images = images.reshape(4, -1)
+    images[2], on_A, on_B = check_lanes(proto, N, *images)
+    return images, on_A & on_B
+
+
+# a level with fewer images than this steps them one by one through the
+# scalar ``apply``: the array kernel costs about 0.35 ms per level whatever
+# its size, about what 40 scalar steps cost
+_SCALAR_IMAGES = 40
+# a level's images are looked up this many source vertices at a time, so
+# their Python key tuples are never all alive at once
+_CHUNK_VERTICES = 4096
+
+
 def _bfs(ball: OrbitGraph, P: SurfacePoint, radius: int, max_vertices: int) -> OrbitGraph:
-    """Fill ``ball`` breadth-first from P out to the radius; vertices are
-    deduplicated by exact coordinates.  A pruned (g2) ball must never reach a
-    vertex periodic under both generators."""
+    """Fill ``ball`` breadth-first from P out to the radius, one level at a
+    time; vertices are deduplicated by exact numerators.  A pruned (g2) ball
+    must never reach a vertex periodic under both generators.
+
+    The images of a level are looked up by their plain (N, a, b, c, d) tuple
+    in the order of the vertex-by-vertex BFS, and only the new ones become
+    points.
+    """
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    proto, gens, N = ball.proto, ball.gens, P.N
+    n_gens = len(gens)
+    E = max((abs(e) for _, e in gens), default=0)
     if ball.g2 and _jointly_periodic(P):
         raise InternalError(f"pruned vertex {P.key} as the start")
+    level_points = [P]
+    level = None  # the level's numerators as a (4, vertices) array, once built
     ball.depth[P] = 0
-    # edges hold the stored instance of a known vertex, not the equal copy
-    # just built, so later lookups hit the identity fast path
-    stored = {P: P}
-    # queued: a vertex, its depth and (the vertex that first reached it, the
-    # generator power leading back there), so that step is never recomputed
-    queue: deque = deque([(P, 0, None)])
-    while queue:
-        point, d, back = queue.popleft()
-        if d >= radius:
-            ball.frontier.add(point)
-            continue
-        for gen in ball.gens:
-            if back is not None and gen == back[1]:
-                known = back[0]
+    # edges hold the stored instance of a known vertex, so later lookups hit
+    # the identity fast path
+    stored = {(N, P.a, P.b, P.c, P.d): P}
+    for d in range(radius):
+        if not level_points:
+            break
+        if len(level_points) * n_gens < _SCALAR_IMAGES:
+            points = [apply(point, gen, e) for point in level_points for gen, e in gens]
+        else:
+            points = None
+            if level is None:
+                level = np.array([[Q.a, Q.b, Q.c, Q.d] for Q in level_points], dtype=object).T
+            level = level.astype(lane_dtype(proto, max(N, int(np.abs(level).max())), E), copy=False)
+            images, pruned = _level_images(proto, gens, N, level)
+        new_points, new_lanes = [], []
+        for first in range(0, len(level_points), _CHUNK_VERTICES):
+            sources = [Q for Q in level_points[first : first + _CHUNK_VERTICES] for _ in gens]
+            lo, hi = first * n_gens, first * n_gens + len(sources)
+            if points is None:
+                keys = list(zip(repeat(N), *(row.tolist() for row in images[:, lo:hi])))
+                known = list(map(stored.get, keys))
+                # a pruned point is fixed by these powers, which are
+                # invertible, so only a pruned start could lead to one
+                flags = pruned[lo:hi].tolist() if ball.g2 else [False] * len(keys)
             else:
-                img = apply(point, *gen)
-                known = stored.setdefault(img, img)
-                if known is img:
-                    if ball.g2 and _jointly_periodic(img):
-                        # a pruned point is fixed by these powers, which are
-                        # invertible, so only a pruned start could lead to one
-                        raise InternalError(f"pruned vertex reached from {point.key}")
-                    if len(ball.depth) >= max_vertices:
+                keys = [(Q.N, Q.a, Q.b, Q.c, Q.d) for Q in points[lo:hi]]
+                known = list(map(stored.get, keys))
+                flags = [ball.g2 and v is None and _jointly_periodic(Q) for v, Q in zip(known, points[lo:hi])]
+            for lane in [lane for lane, v in enumerate(known) if v is None]:
+                key = keys[lane]
+                v = stored.get(key)  # an earlier lane of this level may have added it
+                if v is None:
+                    if flags[lane] or len(ball.depth) >= max_vertices:
+                        # leave the ball as the vertex-by-vertex BFS does at this lane
+                        ball.edges.extend(islice(zip(sources, known, cycle(gens)), lane))
+                        ball.expanded.update(level_points[: first + lane // n_gens])
+                        if flags[lane]:
+                            raise InternalError(f"pruned vertex reached from {sources[lane].key}")
                         ball.partial = True
-                        raise ResourceCapError(
-                            f"ball exceeded {max_vertices} vertices", partial=ball
-                        )
-                    ball.depth[img] = d + 1
-                    queue.append((img, d + 1, (point, (gen[0], -gen[1]))))
-            ball.edges.append((point, known, gen))
-        ball.expanded.add(point)
+                        raise ResourceCapError(f"ball exceeded {max_vertices} vertices", partial=ball)
+                    if points is None:
+                        # share the source's unmoved pair, as a scalar step does
+                        src = sources[lane]
+                        if key[1] == src.a and key[2] == src.b:
+                            key = (N, src.a, src.b, key[3], key[4])
+                        elif key[3] == src.c and key[4] == src.d:
+                            key = (N, key[1], key[2], src.c, src.d)
+                        v = SurfacePoint._from_checked(proto, key)
+                        new_lanes.append(lo + lane)
+                    else:
+                        v = points[lo + lane]
+                    stored[key] = v
+                    ball.depth[v] = d + 1
+                    new_points.append(v)
+                known[lane] = v
+            ball.edges.extend(zip(sources, known, cycle(gens)))
+        ball.expanded.update(level_points)
+        level_points = new_points
+        level = None if points is not None else images[:, new_lanes]
+    ball.frontier.update(level_points)
     return ball
 
 
@@ -183,8 +285,11 @@ def expand_ball(
     max_vertices: int = 200_000,
 ) -> OrbitGraph:
     """BFS ball of the given radius; vertices deduplicated by exact coordinates."""
-    if any(exp == 0 for _, exp in gens):
-        raise ValueError("generator exponents must be nonzero")
+    for gen, exp in gens:
+        if gen not in ("A", "B"):
+            raise ValueError(f"unknown generator {gen!r}")
+        if exp == 0:
+            raise ValueError("generator exponents must be nonzero")
     ball = OrbitGraph(proto=P.proto, gens=_gen_order(gens), root=P)
     return _bfs(ball, P, radius, max_vertices)
 
@@ -235,10 +340,16 @@ class ComponentShape:
     loop_vertex: SurfacePoint | None = None
 
 
-def _expected_loop(point: SurfacePoint) -> str | None:
-    """Generator whose chosen power fixes the point, if exactly one does."""
-    periodic = [gen for gen in "AB" if is_periodic(point, gen)]
-    return periodic[0] if len(periodic) == 1 else None
+def _expected_loops(points: list[SurfacePoint]) -> list[str | None]:
+    """Per point, the generator whose chosen power fixes it, if exactly one
+    does: both periodicity tests on all points in one array call each."""
+    if not points:
+        return []
+    lanes = np.array([(P.N, P.a, P.b, P.c, P.d) for P in points], dtype=object).T
+    proto = points[0].proto
+    N, a, b, c, d = lanes.astype(lane_dtype(proto, int(np.abs(lanes).max()), 0))
+    _, on_A, on_B = check_lanes(proto, N, a, b, c, d)
+    return [None if pa == pb else "A" if pa else "B" for pa, pb in zip(on_A.tolist(), on_B.tolist())]
 
 
 def classify_component(ball: OrbitGraph) -> ComponentShape:
@@ -250,7 +361,8 @@ def classify_component(ball: OrbitGraph) -> ComponentShape:
     larger complexity, and every non-periodic vertex has at most one
     non-increasing neighbor (so any non-backtracking path increases strictly
     once it stops decreasing).  Any failure is reported as Other with the
-    explicit violations.
+    explicit violations.  Reads each expanded vertex's out-edges as its
+    block of ``edges`` (see ``OrbitGraph``).
     """
     violations: list[str] = []
     loops = ball.loop_vertices()
@@ -259,9 +371,8 @@ def classify_component(ball: OrbitGraph) -> ComponentShape:
     # violations name vertices by their Fraction coordinate quadruple
     if len(loops) > 1:
         violations.append(f"{len(loops)} looped vertices: {sorted(v.key for v in loops)[:2]}...")
-    for v, gens_at_v in loops.items():
+    for (v, gens_at_v), expected in zip(loops.items(), _expected_loops(list(loops))):
         loop_vertex = v
-        expected = _expected_loop(v)
         if expected is None:
             violations.append(f"loop at a vertex periodic under neither/both: {v.key}")
         elif any(g != expected for g, _ in gens_at_v):
@@ -277,18 +388,22 @@ def classify_component(ball: OrbitGraph) -> ComponentShape:
     if n_edges != ball.order() - 1:
         violations.append(f"simple view has {n_edges} edges on {ball.order()} vertices")
 
-    out_edges: dict[SurfacePoint, dict[GenPower, SurfacePoint]] = {}
-    for u, v, gen in ball.edges:
-        out_edges.setdefault(u, {})[gen] = v
-
-    for point in (v for v in ball.depth if v in ball.expanded):  # in BFS order
-        images = out_edges.get(point, {})
-        non_loop = [v for v in images.values() if v is not point]
-        distinct = set(non_loop)
+    expanded = list(islice(ball.depth, len(ball.expanded)))  # in BFS order
+    expected_loops = _expected_loops(expanded) if ball.g2 else [None] * len(expanded)
+    loop_ids = {id(v) for v in loops}
+    n_gens = len(ball.gens)
+    for k, (point, expected) in enumerate(zip(expanded, expected_loops)):
+        block = ball.edges[k * n_gens : (k + 1) * n_gens]
+        # a BFS appends a vertex's edges together, so a shifted or cut
+        # block shows at one of its ends
+        if len(block) != n_gens or block[0][0] is not point or block[-1][0] is not point:
+            raise InternalError(f"edges of {point.key} are not block {k} of the ball's edges")
+        non_loop = [v for _, v, _ in block if v is not point]
+        distinct = {id(v): v for v in non_loop}  # edge ends are the stored vertices
         if len(distinct) != len(non_loop):
             violations.append(f"parallel edges at {point.key}")
-        looped = point in loops
-        if not looped and ball.g2 and _expected_loop(point) is not None:
+        looped = id(point) in loop_ids
+        if not looped and expected is not None:
             violations.append(f"singly periodic vertex {point.key} misses its loop")
         want_degree = 2 if looped else 4
         if len(distinct) != want_degree:
@@ -296,7 +411,7 @@ def classify_component(ball: OrbitGraph) -> ComponentShape:
                 f"vertex {point.key} has {len(distinct)} distinct neighbors, wanted {want_degree}"
             )
         s_here = abs(point.b) + abs(point.d)  # N * s_value; the ball shares N
-        non_increasing = [v for v in distinct if abs(v.b) + abs(v.d) <= s_here]
+        non_increasing = [v for v in distinct.values() if abs(v.b) + abs(v.d) <= s_here]
         if looped:
             if non_increasing:
                 violations.append(f"periodic vertex {point.key} has non-growing neighbors")

@@ -19,8 +19,11 @@ and floors are the integer primitives of ``lsurf.quadfield``: with
 w = (f + sqrt(D))/2, u + v*w has the sign of ``sign_sqrt(2*u + f*v, v, D)``.
 Each prototype caches its integer constants once (``f``, ``D`` and the
 near-cylinder circumferences ``low`` = p_low and ``left`` = p_left as
-integer pairs), and the point constructor and ``twist``, which run once per
-orbit-ball vertex, call ``sign_sqrt`` on them directly.
+integer pairs), and the point constructor and ``twist`` call ``sign_sqrt``
+on them directly.  ``twist_lanes`` and ``check_lanes`` are the same twist
+and constructor tests on numpy arrays of numerators, one lane per point,
+which orbit balls run a whole BFS level at a time; the scalar functions
+are their oracle.
 
 Code written once for both generators reads its side through ``axes``,
 ``apply``, ``is_periodic``, ``SurfaceProto.far`` and ``.wiring``:
@@ -39,7 +42,17 @@ from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
-from .quadfield import FieldSpec, QuadNum, floor_sqrt, qmax, sign_sqrt
+import numpy as np
+
+from .quadfield import (
+    FieldSpec,
+    QuadNum,
+    floor_sqrt,
+    floor_sqrt_array,
+    qmax,
+    sign_sqrt,
+    sign_sqrt_array,
+)
 
 Pair = tuple[int, int]
 Block = tuple[Pair, Pair]
@@ -160,6 +173,32 @@ class SurfaceProto:
             gen: Wiring(self._block(p), self._divisor(p), _pair(self.far(gen)), self._divisor(c))
             for gen, p, c in zip("AB", (self.p_left, self.p_low), self.coeffs)
         }
+
+    @cached_property
+    def lane_growth(self) -> int:
+        """C such that every value that ``twist_lanes`` and ``check_lanes``
+        compute is below C*M*(E + 1) in size, for numerators and N below M
+        and exponents below E in size.
+
+        With beta and sigma the largest row sums of the period blocks and of
+        the divisor scales, tau the largest divisor entry and rho >= tau the
+        largest entry of the periods and far sizes: the shear output V is
+        below M*(1 + 2*beta*E), the floor reads values below
+        sigma*V*(3 + sqrt(D)) and takes off k*N*q with |k*N| below
+        sigma*V*(3 + sqrt(D))/2 + M, which leaves moved numerators W, and
+        every later value is below 6*rho*(W + rho*M).
+        """
+        wirings = self.wiring.values()
+
+        def row_sum(blocks) -> int:
+            return max(abs(x) + abs(y) for m in blocks for x, y in m)
+
+        beta = max(1, row_sum(w.block for w in wirings))
+        sigma = max(1, row_sum(w.near.scale for w in wirings))
+        tau = max(1, *(abs(x) for w in wirings for x in w.near.q))
+        pairs = (self.low, self.left, *(w.far for w in wirings))
+        rho = max(tau, *(abs(x) for pair in pairs for x in pair))
+        return 6 * rho * (2 * beta * (1 + tau * sigma * (4 + isqrt(self.D))) + 2 * rho)
 
     @property
     def name(self) -> str:
@@ -291,6 +330,21 @@ class SurfacePoint:
         N = lcm(*(t.denominator for t in parts))
         return cls(proto, N, *(t.numerator * (N // t.denominator) for t in parts))
 
+    @classmethod
+    def _from_checked(cls, proto: SurfaceProto, key: tuple[int, int, int, int, int]) -> SurfacePoint:
+        """The point (N, a, b, c, d) = key, which ``check_lanes`` has checked
+        and normalized, with N the orbit invariant of the point it came from."""
+        P = object.__new__(cls)
+        set_N, set_a, set_b, set_c, set_d, set_proto, set_hash = _SLOT_SETTERS
+        set_N(P, key[0])
+        set_a(P, key[1])
+        set_b(P, key[2])
+        set_c(P, key[3])
+        set_d(P, key[4])
+        set_proto(P, proto)
+        set_hash(P, hash(key))  # what __hash__ computes
+        return P
+
     @property
     def x(self) -> QuadNum:
         return QuadNum(Fraction(self.a, self.N), Fraction(self.b, self.N), self.proto.field)
@@ -322,6 +376,10 @@ class SurfacePoint:
 
     def __repr__(self) -> str:
         return f"SurfacePoint({self} on {self.proto.name})"
+
+
+# the slots' own setters, which skip the refusing __setattr__
+_SLOT_SETTERS = tuple(SurfacePoint.__dict__[name].__set__ for name in SurfacePoint.__slots__)
 
 
 def parse_point(proto: SurfaceProto, literal: str) -> SurfacePoint:
@@ -387,7 +445,92 @@ def apply_A(P: SurfacePoint, k: int) -> SurfacePoint:
 def apply(P: SurfacePoint, gen: str, n: int) -> SurfacePoint:
     """The n-th power of the generator named gen ("A" or "B") applied to P."""
     # module globals looked up per call, so a wrapped apply_A/apply_B sees it
-    return (apply_A if gen == "A" else apply_B)(P, n)
+    if gen == "A":
+        return apply_A(P, n)
+    if gen == "B":
+        return apply_B(P, n)
+    raise ValueError(f"unknown generator {gen!r}")
+
+
+# -- the same steps on numpy arrays, one lane per point ------------------------
+#
+# Lanes hold numerators over a shared N as int64 while ``lane_dtype`` allows,
+# else as Python ints in object arrays; every test is exact either way.
+
+
+def lane_dtype(proto: SurfaceProto, M: int, E: int):
+    """int64 if lanes with numerators and N below M in size, stepped by
+    exponents below E in size, keep every value below 2**62; else object."""
+    return np.int64 if M * (E + 1) * proto.lane_growth < 2**62 else object
+
+
+def lane_signs(proto: SurfaceProto, u, v):
+    """Exact signs of u + v*w, lane by lane; u and v may stack several tests."""
+    return sign_sqrt_array(2 * u + v if proto.f else 2 * u, v, proto.D)
+
+
+def twist_lanes(proto: SurfaceProto, gen: str, N: int, u0, u1, v0, v1, n):
+    """``twist`` lane by lane: lane j moves (v0[j], v1[j]) by n[j] twists of
+    the cylinder that (u0[j], u1[j]) lies in, with the same far-cylinder test,
+    floor and remainder postcondition."""
+    f, D, wiring = proto.f, proto.D, proto.wiring[gen]
+    near = wiring.near
+    far = lane_signs(proto, u0 - N, u1) > 0
+    u0 = np.where(far, u0 - N, u0)
+    v0, v1 = shear(wiring.block, n, u0, u1, v0, v1)
+    # SurfaceProto.quotient per lane: the divisor is 1 on far lanes
+    dtype = v0.dtype
+
+    def per_lane(at_far, at_near):  # in the lanes' dtype, for an N past int64
+        return np.where(far, np.array(at_far, dtype), np.array(at_near, dtype))
+
+    (p, q), (r, s) = near.scale
+    x, y = np.where(far, v0, p * v0 + q * v1), np.where(far, v1, r * v0 + s * v1)
+    kN = N * floor_sqrt_array(2 * x + f * y, y, D, per_lane(2 * N, 2 * N * near.g))
+    t0, t1 = per_lane(1, near.q[0]), per_lane(0, near.q[1])
+    v0, v1 = v0 - kN * t0, v1 - kN * t1
+    s0, s1 = per_lane(N, N * near.q[0]) - v0, per_lane(0, N * near.q[1]) - v1
+    low, high = lane_signs(proto, np.array((v0, s0)), np.array((v1, s1)))
+    bad = (low < 0) | (high <= 0)
+    if bad.any():
+        j = int(bad.argmax())
+        raise InternalError(
+            f"twist remainder ({v0[j]} + {v1[j]}*w)/{N} outside [0, {t0[j]} + {t1[j]}*w)"
+        )
+    return v0, v1
+
+
+def check_lanes(proto: SurfaceProto, N, a, b, c, d):
+    """The point constructor's membership and corner tests and ``is_periodic``
+    for both generators, lane by lane, on numerators in lowest terms.
+
+    Returns c with the top edge (x, 1) ~ (x, 0) normalized, and the A- and
+    B-periodicity flags (which that normalization does not change).
+    """
+    r, i = proto.low
+    s, t = proto.left
+    x_pos, x_far, x_in_low, x_in_up, y_pos, y_far, y_in_up = lane_signs(
+        proto,
+        np.array((a, a - N, N * r - a, N - a, c, c - N, N * s - c)),
+        np.array((b, b, N * i - b, -b, d, d, N * t - d)),
+    )
+    lower = y_far <= 0
+    inside = (x_pos >= 0) & np.where(
+        lower, (y_pos >= 0) & (x_in_low > 0), (y_in_up > 0) & (x_in_up > 0)
+    )
+    if not inside.all():
+        j = int(inside.argmin())
+        Nj = N if np.ndim(N) == 0 else N[j]
+        raise InvalidPointError(
+            f"({a[j]} + {b[j]}w, {c[j]} + {d[j]}w)/{Nj} is outside {proto.name}"
+        )
+    if ((b == 0) & (d == 0) & (((a == 0) & (c == 0)) | ((a == N) & (c == N)))).any():
+        raise InvalidPointError("singular corner")
+    (rA, iA), (rB, iB) = proto.wiring["A"].far, proto.wiring["B"].far
+    on_A = np.where(x_far <= 0, b == 0, (a - N) * iA == b * rA)
+    on_B = np.where(lower, d == 0, (c - N) * iB == d * rB)
+    c = np.where((c == N) & (d == 0) & (x_far > 0), 0, c)
+    return c, on_A, on_B
 
 
 def axes(P: SurfacePoint, gen: str) -> tuple[Pair, Pair]:

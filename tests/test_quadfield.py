@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,9 +11,11 @@ from lsurf.quadfield import (
     FieldSpec,
     QuadNum,
     floor_sqrt,
+    floor_sqrt_array,
     qmax,
     reduce_mod,
     sign_sqrt,
+    sign_sqrt_array,
 )
 
 SQRT2 = FieldSpec(F(2), F(0))
@@ -177,6 +180,68 @@ def test_integer_primitives_on_pell_pairs(m):
         assert floor_sqrt(x, -y, m, 1) == (0 if norm == 1 else -1)
         float_wrong += (float(x) - float(y) * math.sqrt(m) > 0) != (norm > 0)
     assert float_wrong > 0
+
+
+def _check_array_primitives(ps, qs, m, rng):
+    dens = [rng.randint(1, 1000) for _ in qs]
+    for dtype in (np.int64, object):
+        P, Q = np.array(ps, dtype=dtype), np.array(qs, dtype=dtype)
+        signs, floors = sign_sqrt_array(P, Q, m), floor_sqrt_array(P, Q, m, np.array(dens))
+        assert signs.dtype == floors.dtype == dtype
+        assert signs.tolist() == [sign_sqrt(p, q, m) for p, q in zip(ps, qs)]
+        assert floors.tolist() == [floor_sqrt(p, q, m, den) for p, q, den in zip(ps, qs, dens)]
+
+
+@pytest.mark.parametrize("m", [5, 8, 12, 13, 17, 41])
+def test_array_primitives_match_the_scalar_ones_across_the_guard(m):
+    # a call computes in int64 when every lane has |p| < 2**31 and
+    # q*q*m < 2**62, else on Python ints.  Pell pairs and near-ties
+    # p = -+isqrt(q*q*m) + e are where a float sign, or the float seed of
+    # isqrt without its integer correction, goes wrong.
+    rng = random.Random(f"array-primitives:{m}")
+    q_limit = math.isqrt((2**62 - 1) // m)
+    x0, y0 = pell_pairs(m, lower=0)[0]
+    pell, (x, y) = [], (x0, y0)
+    while x < 2**31:
+        pell.append((x, y))
+        x, y = x * x0 + m * y * y0, x * y0 + y * x0
+    cases = [
+        ([x for x, _ in pell] + [-x for x, _ in pell], [-y for _, y in pell] + [y for _, y in pell]),
+        ([0] * len(pell), [y for _, y in pell]),
+        ([2**31 - 1, -(2**31 - 1)], [-q_limit, q_limit]),
+        ([2**31, 5], [1, q_limit + 1]),
+        # one square past 2**62 in an otherwise small call
+        ([rng.randint(-(2**33), 2**33) for _ in range(60)], [rng.randint(-255, 255) for _ in range(60)]),
+        ([rng.randint(-9, 9) for _ in range(60)], [rng.choice((1, -1)) * rng.randint(q_limit + 1, 2 * q_limit) for _ in range(60)]),
+    ]
+    for bits in (8, 16, 24, 30, 31, 32, 40):
+        qs = [rng.randint(-(2**bits), 2**bits) // (math.isqrt(m) + 1) for _ in range(60)]
+        near = [-math.isqrt(q * q * m) * (1 if q >= 0 else -1) + rng.randint(-2, 2) for q in qs]
+        cases += [(near, qs), ([rng.randint(-(2**bits), 2**bits) for _ in qs], qs)]
+    fits = [max(map(abs, ps)) < 2**31 and max(map(abs, qs)) <= q_limit for ps, qs in cases]
+    assert fits[:3] == [True] * 3 and sum(fits) > 10 and not all(fits)
+    for ps, qs in cases:
+        _check_array_primitives(ps, qs, m, rng)
+    # (x + y*sqrt(m))**2 has norm 1 and x, y far past int64
+    squares = [(x * x + m * y * y, 2 * x * y) for x, y in pell_pairs(m)]
+    xs, ys = zip(*squares)
+    assert min(ys) > 2**63
+    for ps, qs in ((xs, [-y for y in ys]), ([-x for x in xs], ys), ([0] * len(ys), ys)):
+        P, Q = np.array(ps, dtype=object), np.array(qs, dtype=object)
+        assert sign_sqrt_array(P, Q, m).tolist() == [sign_sqrt(p, q, m) for p, q in zip(ps, qs)]
+        assert floor_sqrt_array(P, Q, m, 3).tolist() == [floor_sqrt(p, q, m, 3) for p, q in zip(ps, qs)]
+
+
+@pytest.mark.parametrize("scale", [1 - 1e-10, 1 + 1e-10])
+def test_floor_sqrt_array_corrects_its_float_seed(monkeypatch, scale):
+    # a float seed of isqrt that is off by one, down or up, is corrected
+    monkeypatch.setattr("lsurf.quadfield.sqrt", lambda m: math.sqrt(m) * scale)
+    rng = random.Random(f"float-seed:{scale}")
+    for m in (5, 8, 41):
+        qs = [rng.randint(-(2**28), 2**28) for _ in range(2000)]
+        ts = floor_sqrt_array(np.zeros(len(qs), np.int64), np.array(qs), m, 1).tolist()
+        assert ts == [floor_sqrt(0, q, m, 1) for q in qs]
+        assert ts != [math.floor(q * math.sqrt(m) * scale) for q in qs]
 
 
 # -- reduce_mod ---------------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 
 from lsurf.modn import component_labels, dense_index, project
 from lsurf.reduce import (
+    CASE_SHRINK_X,
+    CASE_SHRINK_Y,
     BracketReport,
     ReduceProgressError,
     enumerate_S,
@@ -26,6 +28,7 @@ from lsurf.surface import (
     is_B_periodic,
     n_value,
     numerator_window,
+    twist,
 )
 
 
@@ -212,3 +215,25 @@ def test_shrink_step_matches_two_candidate_oracle(L8):
             assert res.steps == len(res.trace)
             shrink_steps += sum(case in (3, 4) for case, _ in res.trace)
     assert shrink_steps > 2000
+
+
+def test_shrink_tie_goes_to_plus_n(L8, monkeypatch):
+    # a point whose first shrink step takes -n; then both candidates of that
+    # step are made the -n image, so the tie rule alone picks the exponent
+    rng = random.Random("shrink-tie")
+    P = next(
+        Q
+        for Q in (sample_point(L8, rng.randint(1, 4), rng, box=10_000) for _ in range(50))
+        if (t := reduce_point(Q).trace) and t[0][0] in (CASE_SHRINK_X, CASE_SHRINK_Y) and t[0][1] < 0
+    )
+    n_calls = []
+
+    def tied(Q, gen, n):
+        n_calls.append(n)
+        return twist(Q, gen, -abs(n) if len(n_calls) <= 2 else n)
+
+    monkeypatch.setattr("lsurf.reduce.twist", tied)
+    res = reduce_point(P)
+    n = n_calls[0]
+    assert n > 0 and n_calls[1] == -n
+    assert res.trace[0][1] == n

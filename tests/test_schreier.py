@@ -1,9 +1,12 @@
+import importlib
 import random
 from collections import deque
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from lsurf.quadfield import sign_sqrt_array
 from lsurf.sampling import (
     sample_a_periodic_point,
     sample_b_periodic_point,
@@ -32,6 +35,7 @@ from lsurf.surface import (
     InternalError,
     SurfacePoint,
     apply,
+    check_lanes,
     is_A_periodic,
     is_B_periodic,
     n_value,
@@ -149,10 +153,11 @@ def test_identity_views_match_equality_oracles(identity_test_balls):
     assert single.order() == 1076 and n_edges > single.order() - 1  # has cycles
 
 
-def _reference_bfs(ball, P, radius):
-    """Oracle: the BFS that applied every generator power at every vertex,
-    the step back to a vertex's parent included, and tested every image of a
-    pruned ball for pruning."""
+def _reference_bfs(ball, P, radius, max_vertices=200_000):
+    """Oracle: the vertex-by-vertex BFS on the scalar step ``apply``, which
+    applies every generator power at every vertex, the step back to a
+    vertex's parent included, and tests every image of a pruned ball for
+    pruning."""
     ball.depth[P] = 0
     stored = {P: P}
     queue = deque([P])
@@ -167,6 +172,9 @@ def _reference_bfs(ball, P, radius):
             assert not (ball.g2 and is_A_periodic(img) and is_B_periodic(img))
             known = stored.setdefault(img, img)
             if known is img:
+                if len(ball.depth) >= max_vertices:
+                    ball.partial = True
+                    raise ResourceCapError("cap", partial=ball)
                 ball.depth[img] = d + 1
                 queue.append(img)
             ball.edges.append((point, known, gen))
@@ -180,22 +188,118 @@ def _edges_by_position(ball):
     return [(position[id(u)], position[id(v)], g) for u, v, g in ball.edges]
 
 
-@pytest.mark.parametrize("D,eps", [(8, 0), (5, -1), (17, 1)])
-def test_bfs_matches_reference_without_parent_reuse(D, eps):
-    proto = prototype(D, eps)
-    rng = random.Random(f"parent-reuse:{D}:{eps}")
-    starts = [
+def _assert_matches_reference(ball, radius, max_vertices=200_000):
+    ref = OrbitGraph(proto=ball.proto, gens=ball.gens, root=ball.root, g2=ball.g2, N=ball.N)
+    try:
+        _reference_bfs(ref, ball.root, radius, max_vertices)
+    except ResourceCapError:
+        pass
+    assert ball.partial == ref.partial, ball.root
+    assert list(ball.depth.items()) == list(ref.depth.items()), ball.root
+    assert _edges_by_position(ball) == _edges_by_position(ref), ball.root
+    assert ball.frontier == ref.frontier and ball.expanded == ref.expanded, ball.root
+
+
+def _start_points(proto, seed):
+    rng = random.Random(f"{seed}:{proto.D}:{proto.eps}")
+    return [
         sample_b_periodic_point(proto, rng.randint(1, 3), rng, a_periodic=False),
         sample_nonperiodic_point(proto, rng.randint(1, 3), rng, box=40),
         pt(proto, F(1, 5), F(1, 5), F(2, 5), F(1, 5)),  # cycles in its single-step ball
     ]
-    for P in starts:
+
+
+@pytest.mark.parametrize("D,eps", ALL_SURFACES)
+def test_bfs_matches_reference_without_parent_reuse(D, eps):
+    proto = prototype(D, eps)
+    for P in _start_points(proto, "parent-reuse"):
         for ball in (build_G2(P, radius=5), expand_ball(P, SINGLE_STEPS, 5)):
-            ref = OrbitGraph(proto=proto, gens=ball.gens, root=ball.root, g2=ball.g2, N=ball.N)
-            _reference_bfs(ref, ball.root, 5)
-            assert list(ball.depth.items()) == list(ref.depth.items()), P
-            assert _edges_by_position(ball) == _edges_by_position(ref), P
-            assert ball.frontier == ref.frontier and ball.expanded == ref.expanded, P
+            _assert_matches_reference(ball, 5)
+
+
+LEVEL_KINDS = pytest.mark.parametrize(
+    "scalar_images,chunk", [(0, 4096), (0, 5), (10**9, 5)], ids=["arrays", "chunked", "scalar"]
+)
+
+
+@LEVEL_KINDS
+@pytest.mark.parametrize("D,eps", [(8, 0), (5, -1)])
+def test_bfs_matches_reference_on_one_kind_of_level(D, eps, scalar_images, chunk, monkeypatch):
+    # every level on the array kernel, or every level through ``apply``, and
+    # levels looked up a few vertices at a time
+    monkeypatch.setattr("lsurf.schreier._SCALAR_IMAGES", scalar_images)
+    monkeypatch.setattr("lsurf.schreier._CHUNK_VERTICES", chunk)
+    proto = prototype(D, eps)
+    for P in _start_points(proto, "one-kind"):
+        for ball in (build_G2(P, radius=4), expand_ball(P, SINGLE_STEPS, 4)):
+            _assert_matches_reference(ball, 4)
+
+
+@LEVEL_KINDS
+@pytest.mark.parametrize("D,eps", [(8, 0), (17, 1)])
+def test_partial_ball_matches_reference(D, eps, scalar_images, chunk, monkeypatch):
+    # the cap leaves the vertices, edges and expanded vertices that the
+    # vertex-by-vertex BFS has when it reaches one vertex too many, on either
+    # kind of level
+    monkeypatch.setattr("lsurf.schreier._SCALAR_IMAGES", scalar_images)
+    monkeypatch.setattr("lsurf.schreier._CHUNK_VERTICES", chunk)
+    proto = prototype(D, eps)
+    for P in _start_points(proto, "partial"):
+        for explore in (
+            lambda cap: build_G2(P, radius=5, max_vertices=cap),
+            lambda cap: expand_ball(P, SINGLE_STEPS, 5, max_vertices=cap),
+        ):
+            for cap in (1, 2, 7, 50, explore(200_000).order() - 1):
+                with pytest.raises(ResourceCapError) as err:
+                    explore(cap)
+                _assert_matches_reference(err.value.partial, 5, cap)
+
+
+def test_bfs_matches_reference_past_the_int64_guard(monkeypatch):
+    # the radius-7 G2 ball of 1/5,1/5,2/5,1/5 on L8 has a sign test whose
+    # int64 square would overflow, so its last level computes on Python ints
+    crossed = []
+
+    def spy(p, q, m):
+        if p.dtype != object and np.abs(p).max() >= 2**31:
+            crossed.append(int(np.abs(p).max()))
+        return sign_sqrt_array(p, q, m)
+
+    # the package's surface() function shadows the module's name
+    monkeypatch.setattr(importlib.import_module("lsurf.surface"), "sign_sqrt_array", spy)
+    ball = build_G2(pt(prototype(8, 0), F(1, 5), F(1, 5), F(2, 5), F(1, 5)), radius=7)
+    assert crossed and ball.order() == 4373
+    _assert_matches_reference(ball, 7)
+
+
+@pytest.mark.parametrize("D,eps", [(8, 0), (17, 1)])
+def test_bfs_on_object_lanes_matches_reference(D, eps, monkeypatch):
+    # the kernel as it runs past the level guard: every level on Python ints
+    monkeypatch.setattr("lsurf.schreier._SCALAR_IMAGES", 0)
+    monkeypatch.setattr("lsurf.schreier.lane_dtype", lambda proto, M, E: object)
+    proto = prototype(D, eps)
+    for P in _start_points(proto, "object-lanes"):
+        for ball in (build_G2(P, radius=4), expand_ball(P, SINGLE_STEPS, 4)):
+            _assert_matches_reference(ball, 4)
+
+
+def test_bfs_with_a_denominator_past_int64_matches_reference(L8, monkeypatch):
+    # N = 3**45 > 2**63: every level runs on Python ints, the per-lane
+    # constants in N included
+    monkeypatch.setattr("lsurf.schreier._SCALAR_IMAGES", 0)
+    P = pt(L8, F(1, 3**45), F(1, 3**45), F(2, 3**45), F(1, 3**45))
+    assert P.N > 2**63
+    for ball in (build_G2(P, radius=3), expand_ball(P, SINGLE_STEPS, 3)):
+        assert ball.order() > 10
+        _assert_matches_reference(ball, 3)
+
+
+def test_unknown_generator_names_are_refused(L8):
+    P = pt(L8, F(1, 3), F(1, 3), F(1, 2), 0)
+    with pytest.raises(ValueError, match="unknown generator 'C'"):
+        expand_ball(P, [("C", 1), ("C", -1)], 2)
+    with pytest.raises(ValueError, match="unknown generator 'C'"):
+        apply(P, "C", 1)
 
 
 def test_pruned_start_is_an_internal_error(L8, monkeypatch):
@@ -204,6 +308,22 @@ def test_pruned_start_is_an_internal_error(L8, monkeypatch):
     assert is_A_periodic(P) and is_B_periodic(P)
     monkeypatch.setattr("lsurf.schreier.find_non_excluded_start", lambda Q: Q)
     with pytest.raises(InternalError, match="pruned vertex"):
+        build_G2(P, radius=2)
+
+
+@LEVEL_KINDS
+def test_pruned_image_is_an_internal_error(L8, monkeypatch, scalar_images, chunk):
+    # no image of a kept start is pruned, so flag every image as pruned
+    def all_pruned(*lanes):
+        c, on_A, on_B = check_lanes(*lanes)
+        return c, on_A | True, on_B | True
+
+    P = pt(L8, F(1, 3), F(1, 3), F(1, 2), 0)
+    monkeypatch.setattr("lsurf.schreier._SCALAR_IMAGES", scalar_images)
+    monkeypatch.setattr("lsurf.schreier._CHUNK_VERTICES", chunk)
+    monkeypatch.setattr("lsurf.schreier.check_lanes", all_pruned)
+    monkeypatch.setattr("lsurf.schreier._jointly_periodic", lambda Q: Q != P)
+    with pytest.raises(InternalError, match="pruned vertex reached from"):
         build_G2(P, radius=2)
 
 
@@ -305,8 +425,12 @@ def test_find_non_excluded_start_matches_layered_search(D, eps):
 
 
 def _hand_ball(proto, depth, edges, expanded=(), g2=False):
-    """Ball built by hand on points; ``depth`` lists them root first."""
-    ball = OrbitGraph(proto=proto, gens=(("A", 1), ("B", 1)), root=next(iter(depth)), g2=g2)
+    """Ball built by hand on points; ``depth`` lists them root first.  As in a
+    BFS ball, the expanded vertex (the root, if any) has one out-edge per
+    generator power, at the start of ``edges``."""
+    root = next(iter(depth))
+    gens = tuple(g for u, _, g in edges if u is root) if expanded else (("A", 1), ("B", 1))
+    ball = OrbitGraph(proto=proto, gens=gens, root=root, g2=g2)
     ball.depth = dict(depth)
     ball.edges = list(edges)
     ball.expanded = set(expanded)
@@ -405,6 +529,17 @@ def test_classify_flags_non_growing_neighbors(L8):
         expanded={G},
     )
     _flagged(ball, f"2 non-growing neighbors at {G.key}")
+
+
+def test_classify_refuses_edges_out_of_block_order(L8):
+    # out-edges are read by position, so a ball whose k-th expanded vertex
+    # does not own the k-th block of edges is refused, not misread
+    ball = build_G2(pt(L8, *GENERIC), radius=2)
+    assert classify_component(ball).kind == TREE4
+    for edges in (ball.edges[1:] + ball.edges[:1], ball.edges[:-1]):
+        ball.edges = edges
+        with pytest.raises(InternalError, match="are not block"):
+            classify_component(ball)
 
 
 def test_root_paths_flag_a_non_growing_tree_edge(L8):

@@ -1,9 +1,11 @@
+import functools
 import importlib
 import itertools
 import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from lsurf.quadfield import QuadNum, reduce_mod
@@ -17,8 +19,10 @@ from lsurf.surface import (
     apply_A,
     apply_B,
     apply_word,
+    check_lanes,
     is_A_periodic,
     is_B_periodic,
+    lane_dtype,
     n_value,
     numerator_window,
     parse_point,
@@ -26,6 +30,8 @@ from lsurf.surface import (
     s_value,
     surface,
     thresholds,
+    twist,
+    twist_lanes,
 )
 
 ALL_SURFACES = [(8, 0), (5, -1), (17, 1), (12, 0), (13, -1), (41, 1)]
@@ -568,11 +574,16 @@ def _differential_points(proto, rng):
     return points
 
 
+@functools.lru_cache(maxsize=None)
+def differential_points(D, eps):
+    proto = prototype(D, eps)
+    return _differential_points(proto, random.Random(f"differential:{proto.name}"))
+
+
 @pytest.mark.parametrize("D,eps", ALL_SURFACES)
 def test_integer_actions_match_quadnum_oracle(D, eps):
     proto = prototype(D, eps)
-    rng = random.Random(f"differential:{proto.name}")
-    points = _differential_points(proto, rng)
+    points = differential_points(D, eps)
     assert len(points) >= 1500
     # the edge cases are all present: y = 1, x = 1, both far cylinders and
     # the top edge (y = 1 with x > 1, stored as y = 0)
@@ -595,3 +606,85 @@ def test_twist_remainder_postcondition(L8, monkeypatch):
     monkeypatch.setattr(type(L8), "quotient", lambda self, *args: 0)
     with pytest.raises(InternalError):
         apply_A(pt(L8, F(1, 2), 0, F(1, 2), 0), 5)
+
+
+# -- the array kernel against the scalar one -----------------------------------
+
+
+@pytest.mark.parametrize("D,eps", ALL_SURFACES)
+def test_check_lanes_matches_the_constructor(D, eps):
+    # the constructor's membership, corners and top edge, and is_periodic,
+    # lane by lane on the edge grids in lowest terms
+    proto = prototype(D, eps)
+    rng = random.Random(f"check-lanes:{proto.name}")
+    grid = list(numerator_grid(proto, rng))
+    for N in (1, 2, 3):
+        xs = boundary_numerators(proto, N, proto.p_low, rng)
+        ys = boundary_numerators(proto, N, proto.p_left, rng)
+        grid += [(N, a, b, c, d) for (a, b), (c, d) in itertools.product(xs, ys)]
+    valid, want = [], []
+    for numerators in grid:
+        g = math.gcd(*numerators)
+        lane = [t // g for t in numerators]
+        try:
+            P = SurfacePoint(proto, *lane)
+        except InvalidPointError:
+            for dtype in (np.int64, object):
+                with pytest.raises(InvalidPointError):
+                    check_lanes(proto, *np.array([[t] for t in lane], dtype=dtype))
+            continue
+        valid.append(lane)
+        want.append((P.c, is_A_periodic(P), is_B_periodic(P)))
+    assert sum(c == 0 and lane[3] == lane[0] for (c, _, _), lane in zip(want, valid)) > 0  # top edge
+    for dtype in (np.int64, object):
+        c, on_A, on_B = check_lanes(proto, *np.array(valid, dtype=dtype).T)
+        assert list(zip(c.tolist(), on_A.tolist(), on_B.tolist())) == want
+
+
+@pytest.mark.parametrize("D,eps", ALL_SURFACES)
+def test_twist_lanes_match_twist(D, eps, monkeypatch):
+    # per point the exponents +-1 and +-the threshold exponent of gen, on
+    # int64 and on object lanes.  On the way, the premise of the level guard:
+    # for numerators and N below M in size and exponents below E, every input
+    # of a sign or floor (the values that get squared) and every image
+    # numerator is below M*(E + 1)*lane_growth
+    proto = prototype(D, eps)
+    module = importlib.import_module("lsurf.surface")  # not the surface() function
+    seen = []
+    real_sign, real_floor = module.sign_sqrt_array, module.floor_sqrt_array
+    monkeypatch.setattr(module, "sign_sqrt_array", lambda p, q, m: seen.extend((p, q)) or real_sign(p, q, m))
+    monkeypatch.setattr(
+        module, "floor_sqrt_array", lambda p, q, m, den: seen.extend((p, q)) or real_floor(p, q, m, den)
+    )
+    points = differential_points(D, eps)
+    for gen in "AB":
+        for N in {P.N for P in points}:
+            big = getattr(thresholds(proto, N), "k" if gen == "A" else "l")
+            lanes = [(P, e) for P in points if P.N == N for e in (1, -1, big, -big)]
+            want = [twist(P, gen, e) for P, e in lanes]
+            for dtype in (np.int64, object):
+                a, b, c, d, n = np.array([(P.a, P.b, P.c, P.d, e) for P, e in lanes], dtype=dtype).T
+                M = max(N, *np.abs(np.array([a, b, c, d])).ravel())
+                seen.clear()
+                if gen == "A":
+                    c, d = moved = twist_lanes(proto, gen, N, a, b, c, d, n)
+                else:
+                    a, b = moved = twist_lanes(proto, gen, N, c, d, a, b, n)
+                assert list(zip(*(v.tolist() for v in moved))) == want
+                check_lanes(proto, N, a, b, c, d)
+                largest = max(max(np.abs(x).ravel()) for x in seen + [a, b, c, d])
+                assert largest < M * (big + 1) * proto.lane_growth
+    # so lanes are int64 below that bound, and object past it
+    limit = 2**62 // proto.lane_growth
+    assert lane_dtype(proto, limit // 8 - 1, 7) is np.int64
+    assert lane_dtype(proto, limit // 8 + 1, 7) is object
+
+
+def test_twist_lanes_remainder_postcondition(L8, monkeypatch):
+    # a wrong floor leaves a remainder outside [0, period)
+    surface_module = importlib.import_module("lsurf.surface")  # not the surface() function
+    monkeypatch.setattr(surface_module, "floor_sqrt_array", lambda p, q, m, den: 0 * q)
+    P = pt(L8, F(1, 2), 0, F(1, 2), 0)
+    lanes = np.array([[P.a], [P.b], [P.c], [P.d]])
+    with pytest.raises(InternalError, match="twist remainder"):
+        twist_lanes(L8, "A", P.N, *lanes, np.array([5]))
