@@ -186,6 +186,8 @@ def component_table(
 ) -> list[tuple[int, int]]:
     """(N, C(N)) for N = 1..n_max; the vertex cap of ``components`` is
     checked for n_max before any N is computed."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     _check_cap(n_max, _MAX_VERTICES)
     return [(N, components(N, proto)[0]) for N in range(1, n_max + 1)]
 

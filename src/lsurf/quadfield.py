@@ -6,8 +6,9 @@ pair ``r + i*w`` with rational r, i.  Comparisons and floors rewrite the
 value as (p + q*sqrt(m))/den with integers and go through the two integer
 primitives ``sign_sqrt`` and ``floor_sqrt``, which ``lsurf.surface`` calls
 directly on point numerators.  ``sign_sqrt_array`` and ``floor_sqrt_array``
-are the same two primitives lane by lane on numpy arrays, for the orbit-ball
-level kernel of ``lsurf.surface``.
+are the same two primitives lane by lane on int64 arrays, for the orbit-ball
+level kernel of ``lsurf.surface``: in int64 while every square fits, else
+by mapping the scalar primitive over the lanes.
 """
 
 from __future__ import annotations
@@ -48,48 +49,46 @@ def floor_sqrt(p: int, q: int, m: int, den: int) -> int:
     return (p + (t if q >= 0 else -t - 1)) // den
 
 
-# p*|p| + q*|q|*m is exact in int64 while |p| < 2**31 and q*q*m < 2**62.
-_P_LIMIT = 2**31
+def _squares_fit(aq: np.ndarray, m: int) -> bool:
+    """q*q*m < 2**62 on every lane of aq = |q|: the square guard, inside which
+    p*|p| + q*|q|*m is exact in int64 for |p| < 2**31."""
+    return int(aq.max(initial=0)) <= isqrt((2**62 - 1) // m)
 
 
-def _q_limit(m: int) -> int:
-    """Largest |q| with q*q*m < 2**62."""
-    return isqrt((2**62 - 1) // m)
-
-
-def _max(x: np.ndarray) -> int:
-    return int(np.maximum.reduce(x, axis=None, initial=0))
+def _per_lane(scalar, *args) -> np.ndarray:
+    """``scalar`` on the Python ints of each lane of the broadcast arguments."""
+    lanes = np.broadcast_arrays(*args)
+    values = [*map(scalar, *(x.ravel().tolist() for x in lanes))]
+    return np.array(values, np.int64).reshape(lanes[0].shape)
 
 
 def sign_sqrt_array(p: np.ndarray, q: np.ndarray, m: int) -> np.ndarray:
-    """``sign_sqrt`` lane by lane on int64 or object (Python int) arrays.
+    """``sign_sqrt`` lane by lane on int64 arrays.
 
     p + q*sqrt(m) has the sign of p*|p| + q*|q|*m, which is never 0 unless
-    p = q = 0.  int64 lanes past the square guard are computed on Python ints,
-    and the signs come back as int64.
+    p = q = 0.  A call with a lane past the square guard maps ``sign_sqrt``.
     """
     ap, aq = np.abs(p), np.abs(q)
-    if p.dtype != object and (_max(ap) >= _P_LIMIT or _max(aq) > _q_limit(m)):
-        return sign_sqrt_array(p.astype(object), q.astype(object), m).astype(np.int64)
+    if ap.max(initial=0) >= 2**31 or not _squares_fit(aq, m):
+        return _per_lane(sign_sqrt, p, q, m)
     return np.sign(p * ap + q * aq * m)
 
 
 def floor_sqrt_array(p: np.ndarray, q: np.ndarray, m: int, den) -> np.ndarray:
-    """``floor_sqrt`` lane by lane on int64 or object (Python int) arrays, den > 0.
+    """``floor_sqrt`` lane by lane on int64 arrays, den > 0 (an int or an array).
 
-    On int64 lanes t = isqrt(q*q*m) starts from the float |q|*sqrt(m), which
-    is off by less than 1 while |q|*sqrt(m) < 2**31, and one exact integer
-    step each way corrects it.  Lanes past the square guard use ``isqrt`` on
-    Python ints; the caller keeps p + t and the quotient within int64.
+    t = isqrt(q*q*m) starts from the float |q|*sqrt(m), which is off by less
+    than 1 while |q|*sqrt(m) < 2**31, and one exact integer step each way
+    corrects it.  A call with a lane past the square guard maps
+    ``floor_sqrt``; the caller keeps the quotient within int64.
     """
     aq = np.abs(q)
-    if q.dtype == object or _max(aq) > _q_limit(m):
-        t = np.array([isqrt(x * x * m) for x in q.tolist()], dtype=object).astype(q.dtype)
-    else:
-        qq = aq * aq * m
-        t = np.floor(aq * sqrt(m)).astype(np.int64)
-        t -= t * t > qq
-        t += (t + 1) * (t + 1) <= qq
+    if not _squares_fit(aq, m):
+        return _per_lane(floor_sqrt, p, q, m, den)
+    qq = aq * aq * m
+    t = np.floor(aq * sqrt(m)).astype(np.int64)
+    t -= t * t > qq
+    t += (t + 1) * (t + 1) <= qq
     return (p + np.where(q >= 0, t, -t - 1)) // den
 
 

@@ -7,29 +7,25 @@ predicted to have (4-valent tree, or the same tree with one loop at a singly
 periodic root); the verdict is evidence about the infinite component, not a
 proof.
 
-A ball grows one BFS level at a time.  The level's numerators (a, b, c, d)
-sit in numpy arrays over the shared N, an orbit invariant.  One call per
-generator letter applies all that letter's powers to every vertex
-(``surface.twist_lanes``, with a per-lane exponent), and one call tests
-every image for polygon membership, the singular corners, the top edge and
-periodicity (``surface.check_lanes``).  The arrays are int64 while
-``surface.lane_dtype`` bounds every value below 2**62, else Python ints in
-object arrays, and a sign or floor whose int64 square could overflow runs on
-Python ints (``quadfield.sign_sqrt_array``), so every test is exact; a float
-only seeds the integer square root.  The images are looked up in the order
-of the vertex-by-vertex BFS, each vertex's images in ``gens`` order, so the
-ball, its BFS order and the partial ball that the vertex cap leaves are
-those of the vertex-by-vertex BFS on the scalar step ``apply``, which stays
-as the oracle.  A level of fewer than ``_SCALAR_IMAGES`` images, where the
-arrays' fixed cost does not pay, steps through ``apply`` itself, and a
-large level is looked up ``_CHUNK_VERTICES`` source vertices at a time.
+A ball grows one BFS level at a time, in one of two ways.  A level of at
+least ``_SCALAR_IMAGES`` images that ``surface.lanes_fit`` admits runs on
+int64 lanes of numerators over the shared N, an orbit invariant: one
+``surface.twist_lanes`` call per generator letter steps every vertex by all
+that letter's powers, and one ``surface.check_lanes`` call tests every
+image for membership, the corners, the top edge and periodicity.  Every
+other level steps through the scalar ``apply``, which is also the lanes'
+oracle.  Every test is exact; a float only seeds the integer square root.
+The images are looked up in the order of the vertex-by-vertex BFS on
+``apply``, so the ball, its BFS order and the partial ball that the vertex
+cap leaves are that BFS's; a large level is looked up ``_CHUNK_VERTICES``
+source vertices at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import cycle, groupby, islice, repeat
+from itertools import chain, cycle, groupby, islice, repeat
 from math import inf
 
 import numpy as np
@@ -42,7 +38,7 @@ from .surface import (
     check_lanes,
     is_A_periodic,
     is_B_periodic,
-    lane_dtype,
+    lanes_fit,
     s_value,
     thresholds,
     twist_lanes,
@@ -75,9 +71,10 @@ class OrbitGraph:
     Both ends of every edge are the instances stored in ``depth`` (``_bfs``
     records a known vertex, not the equal image it just built), so code
     reading a ball may compare vertices by identity.  The expanded vertices
-    are the first ones in ``depth``, and the k-th of them has its
-    ``len(gens)`` out-edges, in ``gens`` order, at the k-th block of
-    ``edges``.
+    are the first ``n_expanded`` ones in ``depth``, and the k-th of them has
+    its ``len(gens)`` out-edges, in ``gens`` order, at the k-th block of
+    ``edges``.  The frontier of a complete ball is the rest of ``depth``; a
+    partial ball, cut by the vertex cap, has none.
     """
 
     proto: SurfaceProto
@@ -85,8 +82,7 @@ class OrbitGraph:
     root: SurfacePoint
     depth: dict[SurfacePoint, int] = field(default_factory=dict)
     edges: list[tuple[SurfacePoint, SurfacePoint, GenPower]] = field(default_factory=list)
-    expanded: set[SurfacePoint] = field(default_factory=set)
-    frontier: set[SurfacePoint] = field(default_factory=set)
+    n_expanded: int = 0
     g2: bool = False
     N: int | None = None
     partial: bool = False
@@ -126,13 +122,13 @@ class OrbitGraph:
             "gens": [[g, e] for g, e in self.gens],
             "vertices": [
                 {
-                    "id": ids[v],
+                    "id": n,
                     "point": str(v),
                     "depth": d,
                     "s": str(s_value(v)),
-                    "frontier": v in self.frontier,
+                    "frontier": not self.partial and n >= self.n_expanded,
                 }
-                for v, d in self.depth.items()
+                for n, (v, d) in enumerate(self.depth.items())
             ],
             "edges": [
                 {"src": ids[u], "dst": ids[v], "gen": g, "exp": e}
@@ -158,14 +154,11 @@ def _jointly_periodic(P: SurfacePoint) -> bool:
 
 def _level_images(
     proto: SurfaceProto, gens: tuple[GenPower, ...], N: int, level: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Numerators (a, b, c, d) of every image of one BFS level, as a (4, lanes)
-    array in the order vertex by vertex, ``gens`` order within a vertex, and
-    the lanes periodic under both generators.
-
-    ``level`` holds the level's numerators as a (4, vertices) array.  One
-    ``twist_lanes`` call per generator letter steps every vertex by all that
-    letter's powers at once, and one ``check_lanes`` call tests every image.
+) -> tuple[np.ndarray, list[bool]]:
+    """Numerators (a, b, c, d) of every image of one BFS level, from its int64
+    (4, vertices) lanes ``level``, as a (4, lanes) array in the order vertex
+    by vertex, ``gens`` order within a vertex, and per lane whether the image
+    is periodic under both generators (the module docstring has the calls).
     """
     n_v = level.shape[1]
     images = np.empty((4, n_v, len(gens)), dtype=level.dtype)
@@ -184,7 +177,17 @@ def _level_images(
         col += k
     images = images.reshape(4, -1)
     images[2], on_A, on_B = check_lanes(proto, N, *images)
-    return images, on_A & on_B
+    return images, (on_A & on_B).tolist()
+
+
+def _int64_lanes(points: list[SurfacePoint], E: int) -> np.ndarray | None:
+    """The numerators (a, b, c, d) of points over one N as an int64
+    (4, points) array, if ``lanes_fit`` admits them at exponents below E."""
+    proto, N = points[0].proto, points[0].N
+    rows = [(P.a, P.b, P.c, P.d) for P in points]
+    if lanes_fit(proto, max(N, *map(abs, chain.from_iterable(rows))), E):
+        return np.array(rows, dtype=np.int64).T
+    return None
 
 
 # a level with fewer images than this steps them one by one through the
@@ -213,7 +216,7 @@ def _bfs(ball: OrbitGraph, P: SurfacePoint, radius: int, max_vertices: int) -> O
     if ball.g2 and _jointly_periodic(P):
         raise InternalError(f"pruned vertex {P.key} as the start")
     level_points = [P]
-    level = None  # the level's numerators as a (4, vertices) array, once built
+    level = None  # the level's numerators as int64 lanes, after a lane level
     ball.depth[P] = 0
     # edges hold the stored instance of a known vertex, so later lookups hit
     # the identity fast path
@@ -221,41 +224,41 @@ def _bfs(ball: OrbitGraph, P: SurfacePoint, radius: int, max_vertices: int) -> O
     for d in range(radius):
         if not level_points:
             break
-        if len(level_points) * n_gens < _SCALAR_IMAGES:
+        images = None
+        if len(level_points) * n_gens >= _SCALAR_IMAGES:
+            if level is None or not lanes_fit(proto, max(N, int(np.abs(level).max())), E):
+                level = _int64_lanes(level_points, E)
+            if level is not None:
+                images, pruned = _level_images(proto, gens, N, level)
+        if images is None:
             points = [apply(point, gen, e) for point in level_points for gen, e in gens]
-        else:
-            points = None
-            if level is None:
-                level = np.array([[Q.a, Q.b, Q.c, Q.d] for Q in level_points], dtype=object).T
-            level = level.astype(lane_dtype(proto, max(N, int(np.abs(level).max())), E), copy=False)
-            images, pruned = _level_images(proto, gens, N, level)
         new_points, new_lanes = [], []
         for first in range(0, len(level_points), _CHUNK_VERTICES):
             sources = [Q for Q in level_points[first : first + _CHUNK_VERTICES] for _ in gens]
             lo, hi = first * n_gens, first * n_gens + len(sources)
-            if points is None:
+            if images is not None:
                 keys = list(zip(repeat(N), *(row.tolist() for row in images[:, lo:hi])))
-                known = list(map(stored.get, keys))
-                # a pruned point is fixed by these powers, which are
-                # invertible, so only a pruned start could lead to one
-                flags = pruned[lo:hi].tolist() if ball.g2 else [False] * len(keys)
             else:
                 keys = [(Q.N, Q.a, Q.b, Q.c, Q.d) for Q in points[lo:hi]]
-                known = list(map(stored.get, keys))
-                flags = [ball.g2 and v is None and _jointly_periodic(Q) for v, Q in zip(known, points[lo:hi])]
+            known = list(map(stored.get, keys))
             for lane in [lane for lane, v in enumerate(known) if v is None]:
                 key = keys[lane]
                 v = stored.get(key)  # an earlier lane of this level may have added it
                 if v is None:
-                    if flags[lane] or len(ball.depth) >= max_vertices:
+                    # a pruned point is fixed by these powers, which are
+                    # invertible, so only a pruned start could lead to one
+                    bad = ball.g2 and (
+                        pruned[lo + lane] if images is not None else _jointly_periodic(points[lo + lane])
+                    )
+                    if bad or len(ball.depth) >= max_vertices:
                         # leave the ball as the vertex-by-vertex BFS does at this lane
                         ball.edges.extend(islice(zip(sources, known, cycle(gens)), lane))
-                        ball.expanded.update(level_points[: first + lane // n_gens])
-                        if flags[lane]:
+                        ball.n_expanded += first + lane // n_gens
+                        if bad:
                             raise InternalError(f"pruned vertex reached from {sources[lane].key}")
                         ball.partial = True
                         raise ResourceCapError(f"ball exceeded {max_vertices} vertices", partial=ball)
-                    if points is None:
+                    if images is not None:
                         # share the source's unmoved pair, as a scalar step does
                         src = sources[lane]
                         if key[1] == src.a and key[2] == src.b:
@@ -271,10 +274,9 @@ def _bfs(ball: OrbitGraph, P: SurfacePoint, radius: int, max_vertices: int) -> O
                     new_points.append(v)
                 known[lane] = v
             ball.edges.extend(zip(sources, known, cycle(gens)))
-        ball.expanded.update(level_points)
+        ball.n_expanded += len(level_points)
         level_points = new_points
-        level = None if points is not None else images[:, new_lanes]
-    ball.frontier.update(level_points)
+        level = None if images is None else images[:, new_lanes]
     return ball
 
 
@@ -306,7 +308,7 @@ def find_non_excluded_start(P: SurfacePoint) -> SurfacePoint:
         for Q in islice(ball.depth, checked, None):  # the new sphere, in BFS order
             if not _jointly_periodic(Q):
                 return Q
-        if not ball.frontier:
+        if ball.n_expanded == ball.order():
             break  # no vertex at this radius: the ball is the whole orbit
         checked = ball.order()
     raise ValueError(
@@ -341,15 +343,17 @@ class ComponentShape:
 
 
 def _expected_loops(points: list[SurfacePoint]) -> list[str | None]:
-    """Per point, the generator whose chosen power fixes it, if exactly one
-    does: both periodicity tests on all points in one array call each."""
-    if not points:
-        return []
-    lanes = np.array([(P.N, P.a, P.b, P.c, P.d) for P in points], dtype=object).T
-    proto = points[0].proto
-    N, a, b, c, d = lanes.astype(lane_dtype(proto, int(np.abs(lanes).max()), 0))
-    _, on_A, on_B = check_lanes(proto, N, a, b, c, d)
-    return [None if pa == pb else "A" if pa else "B" for pa, pb in zip(on_A.tolist(), on_B.tolist())]
+    """Per point of one orbit, the generator whose chosen power fixes it, if
+    exactly one does: both periodicity tests in one ``check_lanes`` call on
+    int64 lanes, or per point where a ``_bfs`` level of as many images would
+    step through ``apply``."""
+    lanes = _int64_lanes(points, 0) if points and len(points) >= _SCALAR_IMAGES else None
+    if lanes is not None:
+        _, on_A, on_B = check_lanes(points[0].proto, points[0].N, *lanes)
+        flags = zip(on_A.tolist(), on_B.tolist())
+    else:
+        flags = ((is_A_periodic(P), is_B_periodic(P)) for P in points)
+    return [None if pa == pb else "A" if pa else "B" for pa, pb in flags]
 
 
 def classify_component(ball: OrbitGraph) -> ComponentShape:
@@ -364,6 +368,8 @@ def classify_component(ball: OrbitGraph) -> ComponentShape:
     explicit violations.  Reads each expanded vertex's out-edges as its
     block of ``edges`` (see ``OrbitGraph``).
     """
+    if ball.n_expanded == 0:
+        raise ValueError("the ball has no expanded vertex to classify: radius must be >= 1")
     violations: list[str] = []
     loops = ball.loop_vertices()
     loop_vertex: SurfacePoint | None = None
@@ -388,7 +394,7 @@ def classify_component(ball: OrbitGraph) -> ComponentShape:
     if n_edges != ball.order() - 1:
         violations.append(f"simple view has {n_edges} edges on {ball.order()} vertices")
 
-    expanded = list(islice(ball.depth, len(ball.expanded)))  # in BFS order
+    expanded = list(islice(ball.depth, ball.n_expanded))
     expected_loops = _expected_loops(expanded) if ball.g2 else [None] * len(expanded)
     loop_ids = {id(v) for v in loops}
     n_gens = len(ball.gens)
@@ -459,6 +465,8 @@ def tree_cheeger_profile(k: int, n_max: int) -> list[Fraction]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     out = []
     q = 2 * k - 1
     for n in range(1, n_max + 1):

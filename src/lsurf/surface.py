@@ -21,9 +21,9 @@ Each prototype caches its integer constants once (``f``, ``D`` and the
 near-cylinder circumferences ``low`` = p_low and ``left`` = p_left as
 integer pairs), and the point constructor and ``twist`` call ``sign_sqrt``
 on them directly.  ``twist_lanes`` and ``check_lanes`` are the same twist
-and constructor tests on numpy arrays of numerators, one lane per point,
-which orbit balls run a whole BFS level at a time; the scalar functions
-are their oracle.
+and constructor tests on int64 arrays of numerators, one lane per point,
+which orbit balls run a whole BFS level at a time while ``lanes_fit``
+holds; the scalar functions are their oracle.
 
 Code written once for both generators reads its side through ``axes``,
 ``apply``, ``is_periodic``, ``SurfaceProto.far`` and ``.wiring``:
@@ -178,7 +178,7 @@ class SurfaceProto:
     def lane_growth(self) -> int:
         """C such that every value that ``twist_lanes`` and ``check_lanes``
         compute is below C*M*(E + 1) in size, for numerators and N below M
-        and exponents below E in size.
+        and exponents below E in size (see ``lanes_fit``).
 
         With beta and sigma the largest row sums of the period blocks and of
         the divisor scales, tau the largest divisor entry and rho >= tau the
@@ -452,16 +452,14 @@ def apply(P: SurfacePoint, gen: str, n: int) -> SurfacePoint:
     raise ValueError(f"unknown generator {gen!r}")
 
 
-# -- the same steps on numpy arrays, one lane per point ------------------------
-#
-# Lanes hold numerators over a shared N as int64 while ``lane_dtype`` allows,
-# else as Python ints in object arrays; every test is exact either way.
+# -- the same steps on int64 arrays, one lane per point, where lanes_fit holds --
 
 
-def lane_dtype(proto: SurfaceProto, M: int, E: int):
-    """int64 if lanes with numerators and N below M in size, stepped by
-    exponents below E in size, keep every value below 2**62; else object."""
-    return np.int64 if M * (E + 1) * proto.lane_growth < 2**62 else object
+def lanes_fit(proto: SurfaceProto, M: int, E: int) -> bool:
+    """True if int64 lanes with numerators and N below M in size, stepped by
+    exponents below E in size, keep every value below 2**62; elsewhere a
+    caller steps its points through ``apply``."""
+    return M * (E + 1) * proto.lane_growth < 2**62
 
 
 def lane_signs(proto: SurfaceProto, u, v):
@@ -479,30 +477,23 @@ def twist_lanes(proto: SurfaceProto, gen: str, N: int, u0, u1, v0, v1, n):
     u0 = np.where(far, u0 - N, u0)
     v0, v1 = shear(wiring.block, n, u0, u1, v0, v1)
     # SurfaceProto.quotient per lane: the divisor is 1 on far lanes
-    dtype = v0.dtype
-
-    def per_lane(at_far, at_near):  # in the lanes' dtype, for an N past int64
-        return np.where(far, np.array(at_far, dtype), np.array(at_near, dtype))
-
     (p, q), (r, s) = near.scale
     x, y = np.where(far, v0, p * v0 + q * v1), np.where(far, v1, r * v0 + s * v1)
-    kN = N * floor_sqrt_array(2 * x + f * y, y, D, per_lane(2 * N, 2 * N * near.g))
-    t0, t1 = per_lane(1, near.q[0]), per_lane(0, near.q[1])
+    kN = N * floor_sqrt_array(2 * x + f * y, y, D, np.where(far, 2 * N, 2 * N * near.g))
+    t0, t1 = np.where(far, 1, near.q[0]), np.where(far, 0, near.q[1])
     v0, v1 = v0 - kN * t0, v1 - kN * t1
-    s0, s1 = per_lane(N, N * near.q[0]) - v0, per_lane(0, N * near.q[1]) - v1
+    s0, s1 = N * t0 - v0, N * t1 - v1
     low, high = lane_signs(proto, np.array((v0, s0)), np.array((v1, s1)))
     bad = (low < 0) | (high <= 0)
     if bad.any():
         j = int(bad.argmax())
-        raise InternalError(
-            f"twist remainder ({v0[j]} + {v1[j]}*w)/{N} outside [0, {t0[j]} + {t1[j]}*w)"
-        )
+        raise InternalError(f"twist remainder ({v0[j]} + {v1[j]}*w)/{N} outside [0, {t0[j]} + {t1[j]}*w)")
     return v0, v1
 
 
-def check_lanes(proto: SurfaceProto, N, a, b, c, d):
+def check_lanes(proto: SurfaceProto, N: int, a, b, c, d):
     """The point constructor's membership and corner tests and ``is_periodic``
-    for both generators, lane by lane, on numerators in lowest terms.
+    for both generators, lane by lane, on numerators over N in lowest terms.
 
     Returns c with the top edge (x, 1) ~ (x, 0) normalized, and the A- and
     B-periodicity flags (which that normalization does not change).
@@ -520,10 +511,7 @@ def check_lanes(proto: SurfaceProto, N, a, b, c, d):
     )
     if not inside.all():
         j = int(inside.argmin())
-        Nj = N if np.ndim(N) == 0 else N[j]
-        raise InvalidPointError(
-            f"({a[j]} + {b[j]}w, {c[j]} + {d[j]}w)/{Nj} is outside {proto.name}"
-        )
+        raise InvalidPointError(f"({a[j]} + {b[j]}w, {c[j]} + {d[j]}w)/{N} is outside {proto.name}")
     if ((b == 0) & (d == 0) & (((a == 0) & (c == 0)) | ((a == N) & (c == N)))).any():
         raise InvalidPointError("singular corner")
     (rA, iA), (rB, iB) = proto.wiring["A"].far, proto.wiring["B"].far

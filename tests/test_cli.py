@@ -213,6 +213,32 @@ def test_negative_radius_is_usage_error(capsys, command):
     assert "radius must be >= 0" in captured.err
 
 
+def test_classify_at_radius_zero_is_usage_error(capsys):
+    # the G2 ball of radius 0 has no expanded vertex, so no edge to check
+    code = main(["classify", "--point", "1/3,0,1/2,0", "--radius", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "no expanded vertex" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table-cn", "--max", "-3"], ["multiplicativity", "--max", "0"], ["tree-cheeger", "--n-max", "-2"]],
+    ids=["table-cn", "multiplicativity", "tree-cheeger"],
+)
+def test_bounds_below_one_are_usage_errors(capsys, monkeypatch, argv):
+    def no_components(*args, **kwargs):
+        raise AssertionError("C(N) computed before the bound was refused")
+
+    monkeypatch.setattr("lsurf.modn.components", no_components)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "n_max must be >= 1" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

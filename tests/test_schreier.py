@@ -2,6 +2,7 @@ import importlib
 import random
 from collections import deque
 from fractions import Fraction as F
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from lsurf.schreier import (
     TREE4,
     OrbitGraph,
     ResourceCapError,
+    _expected_loops,
+    _level_images,
     build_G2,
     build_regular_tree_ball,
     build_root_looped_tree,
@@ -38,6 +41,7 @@ from lsurf.surface import (
     check_lanes,
     is_A_periodic,
     is_B_periodic,
+    lanes_fit,
     n_value,
     prototype,
     thresholds,
@@ -57,7 +61,18 @@ def pt(proto, xr, xi, yr, yi):
 def test_radius_zero_ball(L8):
     P = pt(L8, F(1, 3), F(1, 3), F(1, 2), 0)
     ball = expand_ball(P, SINGLE_STEPS, 0)
-    assert ball.order() == 1 and ball.frontier == {P}
+    # nothing expanded, so the frontier is the whole ball
+    assert list(ball.depth) == [P] and ball.n_expanded == 0 and not ball.partial
+    assert [v["frontier"] for v in ball.to_json_dict()["vertices"]] == [True]
+
+
+def test_classify_refuses_a_ball_with_no_expanded_vertex(L8):
+    # P is periodic under both generators, and the G2 ball starts at its
+    # A-periodic neighbour: root-looped at radius 1, nothing to check at 0
+    P = pt(L8, F(1, 3), 0, F(1, 2), 0)
+    assert classify_component(build_G2(P, radius=1)).kind == ROOT_LOOPED4
+    with pytest.raises(ValueError, match="no expanded vertex"):
+        classify_component(build_G2(P, radius=0))
 
 
 @pytest.mark.parametrize("build", ["expand_ball", "build_G2"])
@@ -157,7 +172,9 @@ def _reference_bfs(ball, P, radius, max_vertices=200_000):
     """Oracle: the vertex-by-vertex BFS on the scalar step ``apply``, which
     applies every generator power at every vertex, the step back to a
     vertex's parent included, and tests every image of a pruned ball for
-    pruning."""
+    pruning.  Returns its own sets of expanded and frontier vertices; at the
+    vertex cap it marks the ball partial and stops."""
+    expanded, frontier = set(), set()
     ball.depth[P] = 0
     stored = {P: P}
     queue = deque([P])
@@ -165,7 +182,7 @@ def _reference_bfs(ball, P, radius, max_vertices=200_000):
         point = queue.popleft()
         d = ball.depth[point]
         if d >= radius:
-            ball.frontier.add(point)
+            frontier.add(point)
             continue
         for gen in ball.gens:
             img = apply(point, *gen)
@@ -174,12 +191,12 @@ def _reference_bfs(ball, P, radius, max_vertices=200_000):
             if known is img:
                 if len(ball.depth) >= max_vertices:
                     ball.partial = True
-                    raise ResourceCapError("cap", partial=ball)
+                    return expanded, frontier
                 ball.depth[img] = d + 1
                 queue.append(img)
             ball.edges.append((point, known, gen))
-        ball.expanded.add(point)
-    return ball
+        expanded.add(point)
+    return expanded, frontier
 
 
 def _edges_by_position(ball):
@@ -190,14 +207,14 @@ def _edges_by_position(ball):
 
 def _assert_matches_reference(ball, radius, max_vertices=200_000):
     ref = OrbitGraph(proto=ball.proto, gens=ball.gens, root=ball.root, g2=ball.g2, N=ball.N)
-    try:
-        _reference_bfs(ref, ball.root, radius, max_vertices)
-    except ResourceCapError:
-        pass
+    expanded, frontier = _reference_bfs(ref, ball.root, radius, max_vertices)
     assert ball.partial == ref.partial, ball.root
     assert list(ball.depth.items()) == list(ref.depth.items()), ball.root
     assert _edges_by_position(ball) == _edges_by_position(ref), ball.root
-    assert ball.frontier == ref.frontier and ball.expanded == ref.expanded, ball.root
+    # the BFS order records the expanded vertices, then a complete ball's frontier
+    vertices = list(ball.depth)
+    assert set(vertices[: ball.n_expanded]) == expanded, ball.root
+    assert set([] if ball.partial else vertices[ball.n_expanded :]) == frontier, ball.root
 
 
 def _start_points(proto, seed):
@@ -253,6 +270,7 @@ def test_partial_ball_matches_reference(D, eps, scalar_images, chunk, monkeypatc
                 with pytest.raises(ResourceCapError) as err:
                     explore(cap)
                 _assert_matches_reference(err.value.partial, 5, cap)
+                assert not any(v["frontier"] for v in err.value.partial.to_json_dict()["vertices"])
 
 
 def test_bfs_matches_reference_past_the_int64_guard(monkeypatch):
@@ -272,26 +290,46 @@ def test_bfs_matches_reference_past_the_int64_guard(monkeypatch):
     _assert_matches_reference(ball, 7)
 
 
+@pytest.mark.parametrize("limit", [0, 1000], ids=["every-level", "later-levels"])
 @pytest.mark.parametrize("D,eps", [(8, 0), (17, 1)])
-def test_bfs_on_object_lanes_matches_reference(D, eps, monkeypatch):
-    # the kernel as it runs past the level guard: every level on Python ints
+def test_bfs_past_the_level_guard_steps_through_apply(D, eps, limit, monkeypatch):
+    # a level that lanes_fit refuses steps through the scalar apply, however
+    # many images it has: with a made-up bound, on every level, or on the
+    # later levels of growing balls, right after a level on lanes
+    seen = []
+
+    def spy(proto, gens, N, level):
+        seen.append(max(N, int(np.abs(level).max())))
+        return _level_images(proto, gens, N, level)
+
     monkeypatch.setattr("lsurf.schreier._SCALAR_IMAGES", 0)
-    monkeypatch.setattr("lsurf.schreier.lane_dtype", lambda proto, M, E: object)
+    monkeypatch.setattr("lsurf.schreier.lanes_fit", lambda proto, M, E: M < limit)
+    monkeypatch.setattr("lsurf.schreier._level_images", spy)
     proto = prototype(D, eps)
     for P in _start_points(proto, "object-lanes"):
         for ball in (build_G2(P, radius=4), expand_ball(P, SINGLE_STEPS, 4)):
             _assert_matches_reference(ball, 4)
+    assert all(M < limit for M in seen) and bool(seen) == (limit > 0)
 
 
 def test_bfs_with_a_denominator_past_int64_matches_reference(L8, monkeypatch):
-    # N = 3**45 > 2**63: every level runs on Python ints, the per-lane
-    # constants in N included
+    # N = 3**45 > 2**63: lanes_fit refuses every level, so every level steps
+    # through apply and the periodicity tests of classify_component run per
+    # point, whatever the level size
     monkeypatch.setattr("lsurf.schreier._SCALAR_IMAGES", 0)
     P = pt(L8, F(1, 3**45), F(1, 3**45), F(2, 3**45), F(1, 3**45))
-    assert P.N > 2**63
+    assert P.N > 2**63 and not lanes_fit(L8, P.N, 0)
     for ball in (build_G2(P, radius=3), expand_ball(P, SINGLE_STEPS, 3)):
         assert ball.order() > 10
         _assert_matches_reference(ball, 3)
+        expanded = list(islice(ball.depth, ball.n_expanded))
+        assert len(expanded) > 1
+        assert _expected_loops(expanded) == [
+            None if is_A_periodic(v) == is_B_periodic(v) else "A" if is_A_periodic(v) else "B"
+            for v in expanded
+        ]
+        # the single steps are far below the growth thresholds
+        assert classify_component(ball).kind == (TREE4 if ball.g2 else OTHER)
 
 
 def test_unknown_generator_names_are_refused(L8):
@@ -349,7 +387,7 @@ def test_g2_ball_from_periodic_root(L8):
     assert root_paths_strictly_increasing(ball)
     # all expanded vertices have simple-view degree 4 except the looped root
     adj = ball.simple_adjacency()
-    for v in ball.expanded:
+    for v in islice(ball.depth, ball.n_expanded):
         want = 2 if v == P else 4
         assert len(adj[v]) == want
 
@@ -424,16 +462,16 @@ def test_find_non_excluded_start_matches_layered_search(D, eps):
         assert got == want and not _jointly_periodic(got)
 
 
-def _hand_ball(proto, depth, edges, expanded=(), g2=False):
+def _hand_ball(proto, depth, edges, g2=False):
     """Ball built by hand on points; ``depth`` lists them root first.  As in a
-    BFS ball, the expanded vertex (the root, if any) has one out-edge per
+    BFS ball, the root, its one expanded vertex, has one out-edge per
     generator power, at the start of ``edges``."""
     root = next(iter(depth))
-    gens = tuple(g for u, _, g in edges if u is root) if expanded else (("A", 1), ("B", 1))
+    gens = tuple(g for u, _, g in edges if u is root)
     ball = OrbitGraph(proto=proto, gens=gens, root=root, g2=g2)
     ball.depth = dict(depth)
     ball.edges = list(edges)
-    ball.expanded = set(expanded)
+    ball.n_expanded = 1
     return ball
 
 
@@ -493,14 +531,14 @@ def test_classify_flags_loop_labels(L8):
 def test_classify_flags_missing_loop(L8):
     P = pt(L8, *B_PERIODIC[0])
     Q = apply(P, "A", 1)
-    ball = _hand_ball(L8, {P: 0, Q: 1}, [(P, Q, ("A", 1))], expanded={P}, g2=True)
+    ball = _hand_ball(L8, {P: 0, Q: 1}, [(P, Q, ("A", 1))], g2=True)
     _flagged(ball, f"singly periodic vertex {P.key} misses its loop")
 
 
 def test_classify_flags_parallel_edges(L8):
     G = pt(L8, *GENERIC)
     Q = apply(G, "A", 1)
-    ball = _hand_ball(L8, {G: 0, Q: 1}, [(G, Q, ("A", 1)), (G, Q, ("B", 1))], expanded={G})
+    ball = _hand_ball(L8, {G: 0, Q: 1}, [(G, Q, ("A", 1)), (G, Q, ("B", 1))])
     _flagged(ball, f"parallel edges at {G.key}")
 
 
@@ -512,7 +550,6 @@ def test_classify_flags_non_growing_neighbors(L8):
         L8,
         {P: 0, Q: 1, R: 1},
         [(P, P, ("B", 1)), (P, Q, ("A", 1)), (P, R, ("A", -1))],
-        expanded={P},
     )
     _flagged(ball, f"periodic vertex {P.key} has non-growing neighbors")
     G = pt(L8, *GENERIC)  # s = 2/5
@@ -526,7 +563,6 @@ def test_classify_flags_non_growing_neighbors(L8):
         L8,
         {G: 0, **{v: 1 for v in nbrs}},
         [(G, v, gen) for v, gen in zip(nbrs, SINGLE_STEPS)],
-        expanded={G},
     )
     _flagged(ball, f"2 non-growing neighbors at {G.key}")
 

@@ -22,7 +22,7 @@ from lsurf.surface import (
     check_lanes,
     is_A_periodic,
     is_B_periodic,
-    lane_dtype,
+    lanes_fit,
     n_value,
     numerator_window,
     parse_point,
@@ -614,7 +614,7 @@ def test_twist_remainder_postcondition(L8, monkeypatch):
 @pytest.mark.parametrize("D,eps", ALL_SURFACES)
 def test_check_lanes_matches_the_constructor(D, eps):
     # the constructor's membership, corners and top edge, and is_periodic,
-    # lane by lane on the edge grids in lowest terms
+    # lane by lane on the edge grids in lowest terms, one call per N
     proto = prototype(D, eps)
     rng = random.Random(f"check-lanes:{proto.name}")
     grid = list(numerator_grid(proto, rng))
@@ -622,29 +622,28 @@ def test_check_lanes_matches_the_constructor(D, eps):
         xs = boundary_numerators(proto, N, proto.p_low, rng)
         ys = boundary_numerators(proto, N, proto.p_left, rng)
         grid += [(N, a, b, c, d) for (a, b), (c, d) in itertools.product(xs, ys)]
-    valid, want = [], []
+    valid, want = {}, {}
     for numerators in grid:
         g = math.gcd(*numerators)
-        lane = [t // g for t in numerators]
+        N, *lane = [t // g for t in numerators]
         try:
-            P = SurfacePoint(proto, *lane)
+            P = SurfacePoint(proto, N, *lane)
         except InvalidPointError:
-            for dtype in (np.int64, object):
-                with pytest.raises(InvalidPointError):
-                    check_lanes(proto, *np.array([[t] for t in lane], dtype=dtype))
+            with pytest.raises(InvalidPointError):
+                check_lanes(proto, N, *np.array([[t] for t in lane], dtype=np.int64))
             continue
-        valid.append(lane)
-        want.append((P.c, is_A_periodic(P), is_B_periodic(P)))
-    assert sum(c == 0 and lane[3] == lane[0] for (c, _, _), lane in zip(want, valid)) > 0  # top edge
-    for dtype in (np.int64, object):
-        c, on_A, on_B = check_lanes(proto, *np.array(valid, dtype=dtype).T)
-        assert list(zip(c.tolist(), on_A.tolist(), on_B.tolist())) == want
+        valid.setdefault(N, []).append(lane)
+        want.setdefault(N, []).append((P.c, is_A_periodic(P), is_B_periodic(P)))
+    assert any(c == 0 and lane[2] == N for N in want for (c, _, _), lane in zip(want[N], valid[N]))  # top edge
+    for N, lanes in valid.items():
+        c, on_A, on_B = check_lanes(proto, N, *np.array(lanes, dtype=np.int64).T)
+        assert list(zip(c.tolist(), on_A.tolist(), on_B.tolist())) == want[N]
 
 
 @pytest.mark.parametrize("D,eps", ALL_SURFACES)
 def test_twist_lanes_match_twist(D, eps, monkeypatch):
     # per point the exponents +-1 and +-the threshold exponent of gen, on
-    # int64 and on object lanes.  On the way, the premise of the level guard:
+    # int64 lanes.  On the way, the premise of the level guard:
     # for numerators and N below M in size and exponents below E, every input
     # of a sign or floor (the values that get squared) and every image
     # numerator is below M*(E + 1)*lane_growth
@@ -662,22 +661,22 @@ def test_twist_lanes_match_twist(D, eps, monkeypatch):
             big = getattr(thresholds(proto, N), "k" if gen == "A" else "l")
             lanes = [(P, e) for P in points if P.N == N for e in (1, -1, big, -big)]
             want = [twist(P, gen, e) for P, e in lanes]
-            for dtype in (np.int64, object):
-                a, b, c, d, n = np.array([(P.a, P.b, P.c, P.d, e) for P, e in lanes], dtype=dtype).T
-                M = max(N, *np.abs(np.array([a, b, c, d])).ravel())
-                seen.clear()
-                if gen == "A":
-                    c, d = moved = twist_lanes(proto, gen, N, a, b, c, d, n)
-                else:
-                    a, b = moved = twist_lanes(proto, gen, N, c, d, a, b, n)
-                assert list(zip(*(v.tolist() for v in moved))) == want
-                check_lanes(proto, N, a, b, c, d)
-                largest = max(max(np.abs(x).ravel()) for x in seen + [a, b, c, d])
-                assert largest < M * (big + 1) * proto.lane_growth
-    # so lanes are int64 below that bound, and object past it
+            a, b, c, d, n = np.array([(P.a, P.b, P.c, P.d, e) for P, e in lanes], dtype=np.int64).T
+            M = max(N, *np.abs(np.array([a, b, c, d])).ravel())
+            assert lanes_fit(proto, M, big)
+            seen.clear()
+            if gen == "A":
+                c, d = moved = twist_lanes(proto, gen, N, a, b, c, d, n)
+            else:
+                a, b = moved = twist_lanes(proto, gen, N, c, d, a, b, n)
+            assert list(zip(*(v.tolist() for v in moved))) == want
+            check_lanes(proto, N, a, b, c, d)
+            largest = max(max(np.abs(x).ravel()) for x in seen + [a, b, c, d])
+            assert largest < M * (big + 1) * proto.lane_growth
+    # so lanes_fit admits lanes below that bound, and nothing past it
     limit = 2**62 // proto.lane_growth
-    assert lane_dtype(proto, limit // 8 - 1, 7) is np.int64
-    assert lane_dtype(proto, limit // 8 + 1, 7) is object
+    assert lanes_fit(proto, limit // 8 - 1, 7)
+    assert not lanes_fit(proto, limit // 8 + 1, 7)
 
 
 def test_twist_lanes_remainder_postcondition(L8, monkeypatch):
