@@ -1,11 +1,16 @@
 """Orbit balls of the generator action and their component-shape certificates.
 
-Vertices are the canonical surface points themselves, hashed and compared
-by their integer numerators (N; a, b, c, d), so deduplication is exact.  A
-ball of finite radius can only certify the *local* structure a component is
-predicted to have (4-valent tree, or the same tree with one loop at a singly
-periodic root); the verdict is evidence about the infinite component, not a
-proof.
+An orbit ball is a record of integers.  A vertex is its id, its position in
+the BFS order.  The ball keeps each vertex's exact numerators (N; a, b, c, d)
+as the key of one key-to-id dict, so deduplication is exact; the id where
+each depth starts; and the end of every edge, as an id, in one int array
+whose positions give the edges' sources and generator powers.  Points are
+built by the scalar step, on request (``OrbitGraph.points``), and for the
+few vertices that a message names or that a periodicity test too small for
+lanes reads.  A ball of finite radius can only certify the *local* structure a
+component is predicted to have (4-valent tree, or the same tree with one loop
+at a singly periodic root); the verdict is evidence about the infinite
+component, not a proof.
 
 A ball grows one BFS level at a time, in one of two ways.  A level of at
 least ``_SCALAR_IMAGES`` images that ``surface.lanes_fit`` admits runs on
@@ -18,15 +23,17 @@ oracle.  Every test is exact; a float only seeds the integer square root.
 The images are looked up in the order of the vertex-by-vertex BFS on
 ``apply``, so the ball, its BFS order and the partial ball that the vertex
 cap leaves are that BFS's; a large level is looked up ``_CHUNK_VERTICES``
-source vertices at a time.
+source vertices at a time.  ``classify_component`` reads the record with
+numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, cycle, groupby, islice, repeat
+from itertools import chain, compress, count, cycle, groupby, islice, repeat
 from math import inf
+from operator import not_
 
 import numpy as np
 
@@ -45,6 +52,7 @@ from .surface import (
 )
 
 GenPower = tuple[str, int]
+Key = tuple[int, int, int, int, int]
 
 TREE4 = "Tree4"
 ROOT_LOOPED4 = "RootLooped4"
@@ -64,59 +72,79 @@ def _gen_order(gens: list[GenPower] | tuple[GenPower, ...]) -> tuple[GenPower, .
     return tuple(sorted(gens, key=lambda ge: (ge[0], ge[1] < 0, abs(ge[1]))))
 
 
-@dataclass
+@dataclass(eq=False)
 class OrbitGraph:
-    """Finite labeled ball of the orbit graph; ``depth`` lists its vertices in BFS order.
+    """Finite labeled ball of the orbit graph, as integers; a vertex is its
+    id, its position in the BFS order.
 
-    Both ends of every edge are the instances stored in ``depth`` (``_bfs``
-    records a known vertex, not the equal image it just built), so code
-    reading a ball may compare vertices by identity.  The expanded vertices
-    are the first ``n_expanded`` ones in ``depth``, and the k-th of them has
-    its ``len(gens)`` out-edges, in ``gens`` order, at the k-th block of
-    ``edges``.  The frontier of a complete ball is the rest of ``depth``; a
-    partial ball, cut by the vertex cap, has none.
+    ``ids`` maps the numerators (N, a, b, c, d) of every vertex to its id,
+    and lists them in id order, the root (id 0) first.  The vertices at depth
+    r are the ids from ``levels[r]`` up to ``levels[r + 1]``.  ``edges``
+    holds the end of every edge as an id.  The expanded vertices are the
+    first ``n_expanded`` ids, and the k-th of them has its ``len(gens)``
+    out-edges, in ``gens`` order, at the k-th block of ``edges``: edge i
+    leaves vertex ``i // len(gens)`` by ``gens[i % len(gens)]``.  The
+    frontier of a complete ball is the rest of the ids; a partial ball, cut
+    by the vertex cap, has none, and its last block stops at the edge where
+    the cap fired.  ``points()`` builds the vertices as points once, on the
+    first request; the simple view and the exports read them.
     """
 
     proto: SurfaceProto
     gens: tuple[GenPower, ...]
     root: SurfacePoint
-    depth: dict[SurfacePoint, int] = field(default_factory=dict)
-    edges: list[tuple[SurfacePoint, SurfacePoint, GenPower]] = field(default_factory=list)
+    ids: dict[Key, int] = field(default_factory=dict)
+    levels: list[int] = field(default_factory=list)
+    edges: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     n_expanded: int = 0
     g2: bool = False
     N: int | None = None
     partial: bool = False
+    _points: list[SurfacePoint] | None = field(default=None, init=False, repr=False)
 
     def order(self) -> int:
-        return len(self.depth)
+        return len(self.ids)
 
-    def simple_adjacency(self) -> dict[SurfacePoint, set[SurfacePoint]]:
-        """Undirected simple view: loops and edge multiplicities dropped."""
-        adj: dict[SurfacePoint, set[SurfacePoint]] = {v: set() for v in self.depth}
-        for u, v, _ in self.edges:
-            if u is not v:
-                adj[u].add(v)
-                adj[v].add(u)
-        return adj
+    def depths(self) -> list[int]:
+        """The depth of every vertex, by id."""
+        return np.repeat(np.arange(len(self.levels) - 1), np.diff(self.levels)).tolist()
 
-    def loop_vertices(self) -> dict[SurfacePoint, list[GenPower]]:
-        loops: dict[SurfacePoint, list[GenPower]] = {}
-        for u, v, g in self.edges:
-            if u is v:
-                loops.setdefault(u, []).append(g)
-        return loops
+    def points(self) -> list[SurfacePoint]:
+        """The vertices as points, by id, the root's own instance first;
+        built on the first call."""
+        if self._points is None:
+            rest = islice(self.ids, 1, None)
+            self._points = [self.root, *map(SurfacePoint._from_checked, repeat(self.proto), rest)]
+        return self._points
 
-    def s_of(self, v: SurfacePoint) -> Fraction:
-        return s_value(v)
+    def point(self, i: int) -> SurfacePoint:
+        """Vertex i as a point: the root, or the i-th of ``points()``."""
+        return self.root if i == 0 else self.points()[i]
+
+    def edge_triples(self):
+        """(source, end, generator power) of every edge, in order, as ids."""
+        n_gens = len(self.gens)
+        ends = zip(self.edges.tolist(), cycle(self.gens))
+        return ((i // n_gens, v, g) for i, (v, g) in enumerate(ends))
+
+    def simple_adjacency(self) -> dict[SurfacePoint, list[SurfacePoint]]:
+        """Undirected simple view on the points, root first, each neighbour
+        listed once: loops and edge multiplicities dropped."""
+        points = self.points()
+        adj: list[list[SurfacePoint]] = [[] for _ in points]
+        lo, hi = _simple_edges(self)
+        for u, v in zip(lo.tolist(), hi.tolist()):
+            adj[u].append(points[v])
+            adj[v].append(points[u])
+        return dict(zip(points, adj))
 
     # -- export ------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        ids = {v: n for n, v in enumerate(self.depth)}
         return {
             "schema": "lsurf-graph-v1",
             "surface": self.proto.name,
-            "root": ids[self.root],
+            "root": 0,
             "g2": self.g2,
             "N": self.N,
             "gens": [[g, e] for g, e in self.gens],
@@ -128,24 +156,34 @@ class OrbitGraph:
                     "s": str(s_value(v)),
                     "frontier": not self.partial and n >= self.n_expanded,
                 }
-                for n, (v, d) in enumerate(self.depth.items())
+                for n, (v, d) in enumerate(zip(self.points(), self.depths()))
             ],
             "edges": [
-                {"src": ids[u], "dst": ids[v], "gen": g, "exp": e}
-                for u, v, (g, e) in self.edges
+                {"src": u, "dst": v, "gen": g, "exp": e}
+                for u, v, (g, e) in self.edge_triples()
             ],
         }
 
     def to_dot(self) -> str:
-        ids = {v: n for n, v in enumerate(self.depth)}
         lines = ["graph orbitball {"]
-        for v, n in ids.items():
-            shape = "doublecircle" if v == self.root else "circle"
+        for n, v in enumerate(self.points()):
+            shape = "doublecircle" if n == 0 else "circle"
             lines.append(f'  v{n} [label="{v}", shape={shape}];')
-        for u, v, (g, e) in self.edges:
-            lines.append(f'  v{ids[u]} -- v{ids[v]} [label="{g}^{e}"];')
+        for u, v, (g, e) in self.edge_triples():
+            lines.append(f'  v{u} -- v{v} [label="{g}^{e}"];')
         lines.append("}")
         return "\n".join(lines)
+
+
+def _simple_edges(ball: OrbitGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The simple view's edges as id arrays (lo, hi), lo < hi, each edge once,
+    sorted: loops and edge multiplicities dropped."""
+    n, dst = ball.order(), ball.edges
+    src = np.arange(dst.size) // len(ball.gens)
+    keep = src != dst
+    code = np.sort(np.minimum(src, dst)[keep] * n + np.maximum(src, dst)[keep])
+    code = code[np.diff(code, prepend=-1) != 0]  # as np.unique would, several times faster
+    return code // n, code % n
 
 
 def _jointly_periodic(P: SurfacePoint) -> bool:
@@ -154,7 +192,7 @@ def _jointly_periodic(P: SurfacePoint) -> bool:
 
 def _level_images(
     proto: SurfaceProto, gens: tuple[GenPower, ...], N: int, level: np.ndarray
-) -> tuple[np.ndarray, list[bool]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Numerators (a, b, c, d) of every image of one BFS level, from its int64
     (4, vertices) lanes ``level``, as a (4, lanes) array in the order vertex
     by vertex, ``gens`` order within a vertex, and per lane whether the image
@@ -177,16 +215,18 @@ def _level_images(
         col += k
     images = images.reshape(4, -1)
     images[2], on_A, on_B = check_lanes(proto, N, *images)
-    return images, (on_A & on_B).tolist()
+    return images, on_A & on_B
 
 
-def _int64_lanes(points: list[SurfacePoint], E: int) -> np.ndarray | None:
-    """The numerators (a, b, c, d) of points over one N as an int64
-    (4, points) array, if ``lanes_fit`` admits them at exponents below E."""
-    proto, N = points[0].proto, points[0].N
-    rows = [(P.a, P.b, P.c, P.d) for P in points]
-    if lanes_fit(proto, max(N, *map(abs, chain.from_iterable(rows))), E):
-        return np.array(rows, dtype=np.int64).T
+def _int64_lanes(proto: SurfaceProto, keys: list[Key], E: int) -> np.ndarray | None:
+    """The numerators (a, b, c, d) of keys (N, a, b, c, d) over one N as an
+    int64 (4, keys) array, if ``lanes_fit`` admits them at exponents below E."""
+    try:
+        rows = np.fromiter(chain.from_iterable(keys), np.int64, 5 * len(keys)).reshape(-1, 5)
+    except OverflowError:
+        return None
+    if lanes_fit(proto, max(int(rows.max()), -int(rows.min())), E):
+        return rows[:, 1:].T
     return None
 
 
@@ -199,84 +239,88 @@ _SCALAR_IMAGES = 40
 _CHUNK_VERTICES = 4096
 
 
-def _bfs(ball: OrbitGraph, P: SurfacePoint, radius: int, max_vertices: int) -> OrbitGraph:
-    """Fill ``ball`` breadth-first from P out to the radius, one level at a
-    time; vertices are deduplicated by exact numerators.  A pruned (g2) ball
-    must never reach a vertex periodic under both generators.
+def _bfs(ball: OrbitGraph, radius: int, max_vertices: int) -> OrbitGraph:
+    """Fill ``ball`` breadth-first from its root out to the radius, one level
+    at a time; vertices are deduplicated by exact numerators.  A pruned (g2)
+    ball must never reach a vertex periodic under both generators.
 
-    The images of a level are looked up by their plain (N, a, b, c, d) tuple
-    in the order of the vertex-by-vertex BFS, and only the new ones become
-    points.
+    The images of a level are looked up by their (N, a, b, c, d) key in the
+    order of the vertex-by-vertex BFS, and each new one takes the next id.
+    Points are built only by the scalar ``apply``, and for a level that steps
+    through it after a level on lanes.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    proto, gens, N = ball.proto, ball.gens, P.N
-    n_gens = len(gens)
+    proto, gens, P = ball.proto, ball.gens, ball.root
+    N, n_gens = P.N, len(gens)
     E = max((abs(e) for _, e in gens), default=0)
     if ball.g2 and _jointly_periodic(P):
         raise InternalError(f"pruned vertex {P.key} as the start")
-    level_points = [P]
-    level = None  # the level's numerators as int64 lanes, after a lane level
-    ball.depth[P] = 0
-    # edges hold the stored instance of a known vertex, so later lookups hit
-    # the identity fast path
-    stored = {(N, P.a, P.b, P.c, P.d): P}
-    for d in range(radius):
-        if not level_points:
+    ids, levels, dst = ball.ids, ball.levels, []
+    level_keys = [(N, P.a, P.b, P.c, P.d)]
+    ids[level_keys[0]] = 0
+    levels += [0, 1]
+    level_points = [P]  # the level as points, after a scalar level
+    level = None  # the level as int64 lanes, after a lane level
+    for _ in range(radius):
+        if not level_keys:
             break
         images = None
-        if len(level_points) * n_gens >= _SCALAR_IMAGES:
+        if len(level_keys) * n_gens >= _SCALAR_IMAGES:
             if level is None or not lanes_fit(proto, max(N, int(np.abs(level).max())), E):
-                level = _int64_lanes(level_points, E)
+                level = _int64_lanes(proto, level_keys, E)
             if level is not None:
                 images, pruned = _level_images(proto, gens, N, level)
         if images is None:
-            points = [apply(point, gen, e) for point in level_points for gen, e in gens]
-        new_points, new_lanes = [], []
-        for first in range(0, len(level_points), _CHUNK_VERTICES):
-            sources = [Q for Q in level_points[first : first + _CHUNK_VERTICES] for _ in gens]
-            lo, hi = first * n_gens, first * n_gens + len(sources)
+            if level_points is None:
+                level_points = [SurfacePoint._from_checked(proto, key) for key in level_keys]
+            points = [apply(Q, gen, e) for Q in level_points for gen, e in gens]
+        new_keys, new_lanes = [], []
+        for first in range(0, len(level_keys), _CHUNK_VERTICES):
+            lo = first * n_gens
+            hi = min(len(level_keys), first + _CHUNK_VERTICES) * n_gens
             if images is not None:
                 keys = list(zip(repeat(N), *(row.tolist() for row in images[:, lo:hi])))
             else:
                 keys = [(Q.N, Q.a, Q.b, Q.c, Q.d) for Q in points[lo:hi]]
-            known = list(map(stored.get, keys))
-            for lane in [lane for lane, v in enumerate(known) if v is None]:
-                key = keys[lane]
-                v = stored.get(key)  # an earlier lane of this level may have added it
-                if v is None:
-                    # a pruned point is fixed by these powers, which are
-                    # invertible, so only a pruned start could lead to one
-                    bad = ball.g2 and (
-                        pruned[lo + lane] if images is not None else _jointly_periodic(points[lo + lane])
-                    )
-                    if bad or len(ball.depth) >= max_vertices:
-                        # leave the ball as the vertex-by-vertex BFS does at this lane
-                        ball.edges.extend(islice(zip(sources, known, cycle(gens)), lane))
-                        ball.n_expanded += first + lane // n_gens
-                        if bad:
-                            raise InternalError(f"pruned vertex reached from {sources[lane].key}")
-                        ball.partial = True
-                        raise ResourceCapError(f"ball exceeded {max_vertices} vertices", partial=ball)
-                    if images is not None:
-                        # share the source's unmoved pair, as a scalar step does
-                        src = sources[lane]
-                        if key[1] == src.a and key[2] == src.b:
-                            key = (N, src.a, src.b, key[3], key[4])
-                        elif key[3] == src.c and key[4] == src.d:
-                            key = (N, key[1], key[2], src.c, src.d)
-                        v = SurfacePoint._from_checked(proto, key)
-                        new_lanes.append(lo + lane)
-                    else:
-                        v = points[lo + lane]
-                    stored[key] = v
-                    ball.depth[v] = d + 1
-                    new_points.append(v)
-                known[lane] = v
-            ball.edges.extend(zip(sources, known, cycle(gens)))
-        ball.n_expanded += len(level_points)
-        level_points = new_points
-        level = None if images is None else images[:, new_lanes]
+            unknown = list(compress(count(), map(not_, map(ids.__contains__, keys))))
+            # each new key's first lane, where the vertex-by-vertex BFS meets
+            # it; in the reversed pairs the first lane is written last
+            first_lane = dict(zip(map(keys.__getitem__, reversed(unknown)), reversed(unknown)))
+            fresh = sorted(first_lane.values())
+            # a pruned point is fixed by these powers, which are invertible,
+            # so only a pruned start could lead to one
+            if ball.g2 and images is not None:
+                bad = pruned[lo + np.array(fresh, dtype=np.int64)].tolist()
+            elif ball.g2:
+                bad = [_jointly_periodic(points[lo + lane]) for lane in fresh]
+            else:
+                bad = []
+            n_new = min(bad.index(True) if True in bad else len(fresh), max(max_vertices - len(ids), 0))
+            ids.update(zip(map(keys.__getitem__, fresh[:n_new]), count(len(ids))))
+            if n_new < len(fresh):
+                # leave the ball as the vertex-by-vertex BFS does at this lane
+                lane = fresh[n_new]
+                dst += map(ids.__getitem__, keys[:lane])
+                ball.edges = np.array(dst, dtype=np.int64)
+                ball.n_expanded += first + lane // n_gens
+                levels.append(len(ids))
+                if n_new < len(bad) and bad[n_new]:
+                    source = SurfacePoint._from_checked(proto, level_keys[first + lane // n_gens])
+                    raise InternalError(f"pruned vertex reached from {source.key}")
+                ball.partial = True
+                raise ResourceCapError(f"ball exceeded {max_vertices} vertices", partial=ball)
+            dst += map(ids.__getitem__, keys)
+            new_keys += map(keys.__getitem__, fresh)
+            new_lanes += [lo + lane for lane in fresh]
+        ball.n_expanded += len(level_keys)
+        levels.append(len(ids))
+        level_keys = new_keys
+        if images is not None:
+            level, level_points = images[:, new_lanes], None
+        else:
+            level, level_points = None, [points[lane] for lane in new_lanes]
+    ball.edges = np.array(dst, dtype=np.int64)
     return ball
 
 
@@ -293,7 +337,7 @@ def expand_ball(
         if exp == 0:
             raise ValueError("generator exponents must be nonzero")
     ball = OrbitGraph(proto=P.proto, gens=_gen_order(gens), root=P)
-    return _bfs(ball, P, radius, max_vertices)
+    return _bfs(ball, radius, max_vertices)
 
 
 def find_non_excluded_start(P: SurfacePoint) -> SurfacePoint:
@@ -305,7 +349,7 @@ def find_non_excluded_start(P: SurfacePoint) -> SurfacePoint:
     checked = 1  # P itself
     for radius in range(1, 5):
         ball = expand_ball(P, (("A", 1), ("A", -1), ("B", 1), ("B", -1)), radius)
-        for Q in islice(ball.depth, checked, None):  # the new sphere, in BFS order
+        for Q in islice(ball.points(), checked, None):  # the new sphere, in BFS order
             if not _jointly_periodic(Q):
                 return Q
         if ball.n_expanded == ball.order():
@@ -329,7 +373,7 @@ def build_G2(P: SurfacePoint, radius: int = 3, max_vertices: int = 200_000) -> O
     th = thresholds(P.proto, P.N)
     gens: tuple[GenPower, ...] = (("A", th.k), ("A", -th.k), ("B", th.l), ("B", -th.l))
     ball = OrbitGraph(proto=P.proto, gens=_gen_order(gens), root=P, g2=True, N=P.N)
-    return _bfs(ball, P, radius, max_vertices)
+    return _bfs(ball, radius, max_vertices)
 
 
 @dataclass
@@ -342,18 +386,21 @@ class ComponentShape:
     loop_vertex: SurfacePoint | None = None
 
 
-def _expected_loops(points: list[SurfacePoint]) -> list[str | None]:
-    """Per point of one orbit, the generator whose chosen power fixes it, if
-    exactly one does: both periodicity tests in one ``check_lanes`` call on
-    int64 lanes, or per point where a ``_bfs`` level of as many images would
-    step through ``apply``."""
-    lanes = _int64_lanes(points, 0) if points and len(points) >= _SCALAR_IMAGES else None
-    if lanes is not None:
-        _, on_A, on_B = check_lanes(points[0].proto, points[0].N, *lanes)
-        flags = zip(on_A.tolist(), on_B.tolist())
-    else:
-        flags = ((is_A_periodic(P), is_B_periodic(P)) for P in points)
-    return [None if pa == pb else "A" if pa else "B" for pa, pb in flags]
+def _periodic(
+    proto: SurfaceProto, keys: list[Key], lanes: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """A- and B-periodicity of the vertices with these numerator keys: one
+    ``check_lanes`` call on their int64 lanes, or per point where ``lanes``
+    is None or a ``_bfs`` level of as many images would step through
+    ``apply``."""
+    if lanes is not None and len(keys) >= _SCALAR_IMAGES:
+        _, on_A, on_B = check_lanes(proto, keys[0][0], *lanes)
+        return on_A, on_B
+    points = [SurfacePoint._from_checked(proto, key) for key in keys]
+    return (
+        np.array([is_A_periodic(Q) for Q in points], dtype=bool),
+        np.array([is_B_periodic(Q) for Q in points], dtype=bool),
+    )
 
 
 def classify_component(ball: OrbitGraph) -> ComponentShape:
@@ -365,69 +412,92 @@ def classify_component(ball: OrbitGraph) -> ComponentShape:
     larger complexity, and every non-periodic vertex has at most one
     non-increasing neighbor (so any non-backtracking path increases strictly
     once it stops decreasing).  Any failure is reported as Other with the
-    explicit violations.  Reads each expanded vertex's out-edges as its
-    block of ``edges`` (see ``OrbitGraph``).
+    explicit violations.  Reads the ball's id record with numpy (see
+    ``OrbitGraph``), each expanded vertex's out-edges as its block of
+    ``edges``; points are built for the looped vertices and the vertices a
+    violation names.
     """
-    if ball.n_expanded == 0:
+    n_exp, n_gens, n = ball.n_expanded, len(ball.gens), ball.order()
+    if n_exp == 0:
         raise ValueError("the ball has no expanded vertex to classify: radius must be >= 1")
+    dst = ball.edges
+    # a BFS appends a vertex's edges together, only the vertex cap cuts a
+    # block, and the ids number the vertices in the order their first edge
+    # reaches them, so a shifted, cut or extra edge shows
+    cut = dst.size - n_exp * n_gens
+    reached = np.maximum.accumulate(np.concatenate(([0], dst[:-1])))
+    if not ((cut == 0 or ball.partial and 0 < cut < n_gens)
+            and (dst <= reached + 1).all() and dst.max() == n - 1):
+        raise InternalError(f"edges of the ball are not blocks of its {n_exp} expanded vertices")
+    keys = list(ball.ids)
+    lanes = _int64_lanes(ball.proto, keys, 0)
+    # N * s_value, exact at any N; the ball shares N
+    if lanes is not None:
+        s = np.abs(lanes[1]) + np.abs(lanes[3])
+    else:
+        s = np.array([abs(b) + abs(d) for _, _, b, _, d in keys], dtype=object)
+
+    def named(v: int) -> tuple[Fraction, ...]:
+        # violations name vertices by their Fraction coordinate quadruple
+        return SurfacePoint._from_checked(ball.proto, keys[v]).key
+
     violations: list[str] = []
-    loops = ball.loop_vertices()
-    loop_vertex: SurfacePoint | None = None
-
-    # violations name vertices by their Fraction coordinate quadruple
+    loops: dict[int, list[GenPower]] = {}
+    for i in np.flatnonzero(dst == np.arange(dst.size) // n_gens).tolist():
+        loops.setdefault(i // n_gens, []).append(ball.gens[i % n_gens])
     if len(loops) > 1:
-        violations.append(f"{len(loops)} looped vertices: {sorted(v.key for v in loops)[:2]}...")
-    for (v, gens_at_v), expected in zip(loops.items(), _expected_loops(list(loops))):
+        violations.append(f"{len(loops)} looped vertices: {sorted(map(named, loops))[:2]}...")
+    loop_vertex = None
+    on_A, on_B = _periodic(ball.proto, [keys[v] for v in loops], None)
+    for (v, gens_at_v), pa, pb in zip(loops.items(), on_A.tolist(), on_B.tolist()):
         loop_vertex = v
-        if expected is None:
-            violations.append(f"loop at a vertex periodic under neither/both: {v.key}")
+        expected = "A" if pa else "B"
+        if pa == pb:
+            violations.append(f"loop at a vertex periodic under neither/both: {named(v)}")
         elif any(g != expected for g, _ in gens_at_v):
-            violations.append(f"loop labels {gens_at_v} at {v.key} not all {expected}")
+            violations.append(f"loop labels {gens_at_v} at {named(v)} not all {expected}")
 
-    # acyclicity of the simple view (ball is connected by construction): its
-    # edges are the distinct non-loop pairs, keyed by identity (no point hashed)
-    n_edges = len({
-        (id(u), id(v)) if id(u) < id(v) else (id(v), id(u))
-        for u, v, _ in ball.edges
-        if u is not v
-    })
-    if n_edges != ball.order() - 1:
-        violations.append(f"simple view has {n_edges} edges on {ball.order()} vertices")
+    # acyclicity of the simple view (ball is connected by construction)
+    n_edges = _simple_edges(ball)[0].size
+    if n_edges != n - 1:
+        violations.append(f"simple view has {n_edges} edges on {n} vertices")
 
-    expanded = list(islice(ball.depth, ball.n_expanded))
-    expected_loops = _expected_loops(expanded) if ball.g2 else [None] * len(expanded)
-    loop_ids = {id(v) for v in loops}
-    n_gens = len(ball.gens)
-    for k, (point, expected) in enumerate(zip(expanded, expected_loops)):
-        block = ball.edges[k * n_gens : (k + 1) * n_gens]
-        # a BFS appends a vertex's edges together, so a shifted or cut
-        # block shows at one of its ends
-        if len(block) != n_gens or block[0][0] is not point or block[-1][0] is not point:
-            raise InternalError(f"edges of {point.key} are not block {k} of the ball's edges")
-        non_loop = [v for _, v, _ in block if v is not point]
-        distinct = {id(v): v for v in non_loop}  # edge ends are the stored vertices
-        if len(distinct) != len(non_loop):
-            violations.append(f"parallel edges at {point.key}")
-        looped = id(point) in loop_ids
-        if not looped and expected is not None:
-            violations.append(f"singly periodic vertex {point.key} misses its loop")
-        want_degree = 2 if looped else 4
-        if len(distinct) != want_degree:
-            violations.append(
-                f"vertex {point.key} has {len(distinct)} distinct neighbors, wanted {want_degree}"
-            )
-        s_here = abs(point.b) + abs(point.d)  # N * s_value; the ball shares N
-        non_increasing = [v for v in distinct.values() if abs(v.b) + abs(v.d) <= s_here]
-        if looped:
-            if non_increasing:
-                violations.append(f"periodic vertex {point.key} has non-growing neighbors")
-        elif len(non_increasing) > 1:
-            violations.append(f"{len(non_increasing)} non-growing neighbors at {point.key}")
+    blocks = dst[: n_exp * n_gens].reshape(n_exp, n_gens)
+    own = blocks == np.arange(n_exp)[:, None]
+    looped = own.any(axis=1)
+    ends = np.sort(np.where(own, -1, blocks), axis=1)  # loops first, as -1
+    distinct = ends >= 0
+    distinct[:, 1:] &= ends[:, 1:] != ends[:, :-1]
+    n_distinct = distinct.sum(axis=1)
+    parallel = n_distinct != (~own).sum(axis=1)
+    if ball.g2:
+        on_A, on_B = _periodic(ball.proto, keys[:n_exp], None if lanes is None else lanes[:, :n_exp])
+        misses = ~looped & (on_A != on_B)
+    else:
+        misses = np.zeros(n_exp, dtype=bool)
+    want = np.where(looped, 2, 4)
+    n_lower = (distinct & (s[ends] <= s[:n_exp, None])).sum(axis=1)
+    non_growing = n_lower > np.where(looped, 0, 1)
+    flagged = np.flatnonzero(parallel | misses | (n_distinct != want) | non_growing)
+    for k in flagged.tolist():
+        key = named(k)
+        if parallel[k]:
+            violations.append(f"parallel edges at {key}")
+        if misses[k]:
+            violations.append(f"singly periodic vertex {key} misses its loop")
+        if n_distinct[k] != want[k]:
+            violations.append(f"vertex {key} has {n_distinct[k]} distinct neighbors, wanted {want[k]}")
+        if non_growing[k]:
+            if looped[k]:
+                violations.append(f"periodic vertex {key} has non-growing neighbors")
+            else:
+                violations.append(f"{n_lower[k]} non-growing neighbors at {key}")
 
+    loop_point = None if loop_vertex is None else ball.point(loop_vertex)
     if violations:
-        return ComponentShape(OTHER, ball, violations, loop_vertex)
+        return ComponentShape(OTHER, ball, violations, loop_point)
     if loops:
-        return ComponentShape(ROOT_LOOPED4, ball, [], loop_vertex)
+        return ComponentShape(ROOT_LOOPED4, ball, [], loop_point)
     return ComponentShape(TREE4, ball, [])
 
 
@@ -435,12 +505,14 @@ def root_paths_strictly_increasing(ball: OrbitGraph) -> bool:
     """True iff the complexity grows strictly along every tree edge away from
     the root (equivalently along every non-backtracking root path in a tree
     ball).  Holds whenever the root is the component's periodic vertex."""
-    parent: dict[SurfacePoint, SurfacePoint] = {}
-    for u, v, _ in ball.edges:
-        if u is not v and v not in parent and ball.depth[v] == ball.depth[u] + 1:
+    depth = ball.depths()
+    parent: dict[int, int] = {}
+    for u, v, _ in ball.edge_triples():
+        if u != v and v not in parent and depth[v] == depth[u] + 1:
             parent[v] = u
     # N * s_value; the ball shares N
-    return all(abs(v.b) + abs(v.d) > abs(p.b) + abs(p.d) for v, p in parent.items())
+    s = [abs(b) + abs(d) for _, _, b, _, d in ball.ids]
+    return all(s[v] > s[p] for v, p in parent.items())
 
 
 # -- Cheeger utilities -------------------------------------------------------

@@ -75,13 +75,14 @@ class FiniteGraph:
         """The graph of the edges {src[k], dst[k]} (int64 ids in 0..n-1)."""
         keep = src != dst  # loops cancel in b(i) - b(j)
         lo, hi = np.minimum(src, dst)[keep], np.maximum(src, dst)[keep]
-        code = np.unique(lo * n + hi)  # sorted by (lo, hi), each edge once
+        code = np.sort(lo * n + hi)  # sorted by (lo, hi)
+        code = code[np.diff(code, prepend=-1) != 0]  # each edge once; np.unique is slower
         lo, hi = code // n, code % n
         # CSR rows: both directions, sorted by (row, neighbour)
-        rows, nbrs = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+        both = np.sort(np.concatenate([code, hi * n + lo]))
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        csr = (indptr, nbrs[np.lexsort((nbrs, rows))])
+        np.cumsum(np.bincount(both // n, minlength=n), out=indptr[1:])
+        csr = (indptr, both % n)
         return cls(n=n, edges=tuple(zip(lo.tolist(), hi.tolist())), csr=csr)
 
     @classmethod
@@ -98,7 +99,7 @@ class FiniteGraph:
     def from_adjacency(cls, adj: dict) -> tuple[FiniteGraph, dict]:
         """Relabel arbitrary hashable vertices to 0..n-1 in the order of
         ``adj``; returns (graph, id map).  Every neighbour must be a key."""
-        ids = {v: i for i, v in enumerate(adj)}
+        ids = dict(zip(adj, range(len(adj))))
         n = len(ids)
         src = np.repeat(np.arange(n), np.fromiter(map(len, adj.values()), dtype=np.int64, count=n))
         dst = np.fromiter(
@@ -282,8 +283,9 @@ def graph_ball(G: FiniteGraph, root: int, radius: int) -> set[int]:
     seen[root] = True
     layer = np.array([root], dtype=np.int64)
     for _ in range(radius):
-        reached = indices[_ranges(indptr, layer)]
-        layer = np.unique(reached[~seen[reached]])
+        fresh = np.zeros(G.n, dtype=bool)
+        fresh[indices[_ranges(indptr, layer)]] = True
+        layer = np.flatnonzero(fresh & ~seen)
         if not layer.size:
             break
         seen[layer] = True

@@ -149,14 +149,15 @@ def test_c4_pruned_ball_structure():
 def _assert_valley_property(ball):
     """Along every non-backtracking path from the root, once the complexity
     stops strictly decreasing it strictly increases for good."""
+    depth, s = ball.depths(), [s_value(P) for P in ball.points()]
     parent = {}
-    for u, v, _ in ball.edges:
-        if u != v and v not in parent and ball.depth[v] == ball.depth[u] + 1:
+    for u, v, _ in ball.edge_triples():
+        if u != v and v not in parent and depth[v] == depth[u] + 1:
             parent[v] = u
     for v, p in parent.items():
         g = parent.get(p)
-        if g is not None and ball.s_of(p) >= ball.s_of(g):
-            assert ball.s_of(v) > ball.s_of(p), "descent resumed after the valley"
+        if g is not None and s[p] >= s[g]:
+            assert s[v] > s[p], "descent resumed after the valley"
 
 
 def test_c5_cheeger_values():

@@ -1,6 +1,8 @@
 import importlib
 import random
+from bisect import bisect_left
 from collections import deque
+from dataclasses import dataclass, field
 from fractions import Fraction as F
 from itertools import islice
 
@@ -20,8 +22,9 @@ from lsurf.schreier import (
     TREE4,
     OrbitGraph,
     ResourceCapError,
-    _expected_loops,
+    _int64_lanes,
     _level_images,
+    _periodic,
     build_G2,
     build_regular_tree_ball,
     build_root_looped_tree,
@@ -62,7 +65,7 @@ def test_radius_zero_ball(L8):
     P = pt(L8, F(1, 3), F(1, 3), F(1, 2), 0)
     ball = expand_ball(P, SINGLE_STEPS, 0)
     # nothing expanded, so the frontier is the whole ball
-    assert list(ball.depth) == [P] and ball.n_expanded == 0 and not ball.partial
+    assert ball.points() == [P] and ball.n_expanded == 0 and not ball.partial
     assert [v["frontier"] for v in ball.to_json_dict()["vertices"]] == [True]
 
 
@@ -89,7 +92,7 @@ def test_loop_at_periodic_point_with_threshold_exponents(L8):
     P = pt(L8, F(1, 3), F(1, 3), F(1, 2), 0)  # B-periodic, not A-periodic
     th = thresholds(L8, n_value(P))
     ball = expand_ball(P, [("A", th.k), ("A", -th.k), ("B", th.l), ("B", -th.l)], 1)
-    loops = ball.loop_vertices()
+    loops = _loops_by_equality(_plain(ball))
     assert set(loops) == {P}
     assert all(g == "B" for g, _ in loops[P])
 
@@ -131,17 +134,47 @@ def identity_test_balls():
     return balls
 
 
-def _loops_by_equality(ball):
+@dataclass
+class PlainBall:
+    """The reference BFS's container: vertices as points, edges as point
+    triples, as an orbit ball kept them before it became an id record."""
+
+    proto: object
+    gens: tuple
+    root: SurfacePoint
+    g2: bool
+    depth: dict = field(default_factory=dict)
+    edges: list = field(default_factory=list)
+    n_expanded: int = 0
+    partial: bool = False
+
+
+def _plain(ball):
+    """The id record ``ball`` as a PlainBall, through ``points()``."""
+    points = ball.points()
+    return PlainBall(
+        proto=ball.proto,
+        gens=ball.gens,
+        root=ball.root,
+        g2=ball.g2,
+        depth=dict(zip(points, ball.depths())),
+        edges=[(points[u], points[v], g) for u, v, g in ball.edge_triples()],
+        n_expanded=ball.n_expanded,
+        partial=ball.partial,
+    )
+
+
+def _loops_by_equality(plain):
     loops = {}
-    for u, v, g in ball.edges:
+    for u, v, g in plain.edges:
         if u == v:
             loops.setdefault(u, []).append(g)
     return loops
 
 
-def _simple_adjacency_by_equality(ball):
-    adj = {v: set() for v in ball.depth}
-    for u, v, _ in ball.edges:
+def _simple_adjacency_by_equality(plain):
+    adj = {v: set() for v in plain.depth}
+    for u, v, _ in plain.edges:
         if u != v:
             adj[u].add(v)
             adj[v].add(u)
@@ -149,19 +182,29 @@ def _simple_adjacency_by_equality(ball):
 
 
 def test_edge_ends_are_the_stored_vertices(identity_test_balls):
-    # an image equal to a known vertex is recorded as that vertex's instance
+    # a vertex is its id: ``ids`` lists the numerators of the vertices in id
+    # order, ``points()`` builds them once, the root's instance first, and
+    # every edge end is the id of a stored vertex
     for name, ball in identity_test_balls.items():
-        stored = {v: v for v in ball.depth}
-        assert all(stored[u] is u and stored[v] is v for u, v, _ in ball.edges), name
+        points = ball.points()
+        assert ball.points() is points and points[0] is ball.root, name
+        assert list(ball.ids.values()) == list(range(ball.order())), name
+        assert list(ball.ids) == [(P.N, P.a, P.b, P.c, P.d) for P in points], name
+        assert len(set(points)) == ball.order() == ball.levels[-1], name
+        assert ball.edges.dtype == np.int64, name
+        assert 0 <= ball.edges.min() and ball.edges.max() < ball.order(), name
 
 
 def test_identity_views_match_equality_oracles(identity_test_balls):
-    # loop_vertices and simple_adjacency compare edge ends by identity
+    # simple_adjacency reads the id record; the oracle compares points
     for name, ball in identity_test_balls.items():
-        loops = ball.loop_vertices()
-        assert loops == _loops_by_equality(ball), name
-        assert ball.simple_adjacency() == _simple_adjacency_by_equality(ball), name
+        plain = _plain(ball)
+        adj = ball.simple_adjacency()
+        assert {v: set(nbrs) for v, nbrs in adj.items()} == _simple_adjacency_by_equality(plain), name
+        assert all(len(set(nbrs)) == len(nbrs) for nbrs in adj.values()), name  # each once
+        assert list(adj) == ball.points(), name  # root first
         if ball.g2:  # loops sit exactly at a singly periodic root
+            loops = _loops_by_equality(plain)
             assert set(loops) == ({ball.root} if is_B_periodic(ball.root) else set()), name
     single = identity_test_balls["single-step L8"]
     n_edges = sum(map(len, single.simple_adjacency().values())) // 2
@@ -172,8 +215,9 @@ def _reference_bfs(ball, P, radius, max_vertices=200_000):
     """Oracle: the vertex-by-vertex BFS on the scalar step ``apply``, which
     applies every generator power at every vertex, the step back to a
     vertex's parent included, and tests every image of a pruned ball for
-    pruning.  Returns its own sets of expanded and frontier vertices; at the
-    vertex cap it marks the ball partial and stops."""
+    pruning.  Fills the PlainBall ``ball`` and returns its own sets of
+    expanded and frontier vertices; at the vertex cap it marks the ball
+    partial and stops."""
     expanded, frontier = set(), set()
     ball.depth[P] = 0
     stored = {P: P}
@@ -196,23 +240,22 @@ def _reference_bfs(ball, P, radius, max_vertices=200_000):
                 queue.append(img)
             ball.edges.append((point, known, gen))
         expanded.add(point)
+        ball.n_expanded += 1
     return expanded, frontier
 
 
-def _edges_by_position(ball):
-    # KeyError unless both ends of every edge are the stored instances
-    position = {id(v): n for n, v in enumerate(ball.depth)}
-    return [(position[id(u)], position[id(v)], g) for u, v, g in ball.edges]
-
-
 def _assert_matches_reference(ball, radius, max_vertices=200_000):
-    ref = OrbitGraph(proto=ball.proto, gens=ball.gens, root=ball.root, g2=ball.g2, N=ball.N)
+    ref = PlainBall(proto=ball.proto, gens=ball.gens, root=ball.root, g2=ball.g2)
     expanded, frontier = _reference_bfs(ref, ball.root, radius, max_vertices)
     assert ball.partial == ref.partial, ball.root
-    assert list(ball.depth.items()) == list(ref.depth.items()), ball.root
-    assert _edges_by_position(ball) == _edges_by_position(ref), ball.root
+    assert list(ball.ids) == [(P.N, P.a, P.b, P.c, P.d) for P in ref.depth], ball.root
+    assert ball.depths() == list(ref.depth.values()), ball.root
+    # KeyError unless both ends of every reference edge are its stored vertices
+    position = {id(v): n for n, v in enumerate(ref.depth)}
+    want = [(position[id(u)], position[id(v)], g) for u, v, g in ref.edges]
+    assert list(ball.edge_triples()) == want, ball.root
     # the BFS order records the expanded vertices, then a complete ball's frontier
-    vertices = list(ball.depth)
+    vertices = ball.points()
     assert set(vertices[: ball.n_expanded]) == expanded, ball.root
     assert set([] if ball.partial else vertices[ball.n_expanded :]) == frontier, ball.root
 
@@ -266,7 +309,7 @@ def test_partial_ball_matches_reference(D, eps, scalar_images, chunk, monkeypatc
             lambda cap: build_G2(P, radius=5, max_vertices=cap),
             lambda cap: expand_ball(P, SINGLE_STEPS, 5, max_vertices=cap),
         ):
-            for cap in (1, 2, 7, 50, explore(200_000).order() - 1):
+            for cap in (0, 1, 2, 7, 50, explore(200_000).order() - 1):
                 with pytest.raises(ResourceCapError) as err:
                     explore(cap)
                 _assert_matches_reference(err.value.partial, 5, cap)
@@ -314,22 +357,22 @@ def test_bfs_past_the_level_guard_steps_through_apply(D, eps, limit, monkeypatch
 
 def test_bfs_with_a_denominator_past_int64_matches_reference(L8, monkeypatch):
     # N = 3**45 > 2**63: lanes_fit refuses every level, so every level steps
-    # through apply and the periodicity tests of classify_component run per
-    # point, whatever the level size
+    # through apply, the periodicity tests of classify_component run per
+    # point, whatever the level size, and its complexities are Python ints
     monkeypatch.setattr("lsurf.schreier._SCALAR_IMAGES", 0)
     P = pt(L8, F(1, 3**45), F(1, 3**45), F(2, 3**45), F(1, 3**45))
     assert P.N > 2**63 and not lanes_fit(L8, P.N, 0)
     for ball in (build_G2(P, radius=3), expand_ball(P, SINGLE_STEPS, 3)):
         assert ball.order() > 10
         _assert_matches_reference(ball, 3)
-        expanded = list(islice(ball.depth, ball.n_expanded))
-        assert len(expanded) > 1
-        assert _expected_loops(expanded) == [
-            None if is_A_periodic(v) == is_B_periodic(v) else "A" if is_A_periodic(v) else "B"
-            for v in expanded
-        ]
+        keys = list(ball.ids)[: ball.n_expanded]
+        assert len(keys) > 1 and _int64_lanes(L8, keys, 0) is None
+        on_A, on_B = _periodic(L8, keys, None)
+        expanded = ball.points()[: ball.n_expanded]
+        assert on_A.tolist() == [is_A_periodic(v) for v in expanded]
+        assert on_B.tolist() == [is_B_periodic(v) for v in expanded]
         # the single steps are far below the growth thresholds
-        assert classify_component(ball).kind == (TREE4 if ball.g2 else OTHER)
+        assert _classify_matches_reference(ball).kind == (TREE4 if ball.g2 else OTHER)
 
 
 def test_unknown_generator_names_are_refused(L8):
@@ -387,7 +430,7 @@ def test_g2_ball_from_periodic_root(L8):
     assert root_paths_strictly_increasing(ball)
     # all expanded vertices have simple-view degree 4 except the looped root
     adj = ball.simple_adjacency()
-    for v in islice(ball.depth, ball.n_expanded):
+    for v in ball.points()[: ball.n_expanded]:
         want = 2 if v == P else 4
         assert len(adj[v]) == want
 
@@ -462,42 +505,146 @@ def test_find_non_excluded_start_matches_layered_search(D, eps):
         assert got == want and not _jointly_periodic(got)
 
 
+def _reference_classify(ball):
+    """Oracle: ``classify_component`` as it read a PlainBall, comparing
+    points, with the scalar periodicity tests."""
+    if ball.n_expanded == 0:
+        raise ValueError("the ball has no expanded vertex to classify: radius must be >= 1")
+    violations: list[str] = []
+    loops = _loops_by_equality(ball)
+    loop_vertex = None
+
+    def expected_loop(v):
+        pa, pb = is_A_periodic(v), is_B_periodic(v)
+        return None if pa == pb else "A" if pa else "B"
+
+    if len(loops) > 1:
+        violations.append(f"{len(loops)} looped vertices: {sorted(v.key for v in loops)[:2]}...")
+    for v, gens_at_v in loops.items():
+        loop_vertex = v
+        expected = expected_loop(v)
+        if expected is None:
+            violations.append(f"loop at a vertex periodic under neither/both: {v.key}")
+        elif any(g != expected for g, _ in gens_at_v):
+            violations.append(f"loop labels {gens_at_v} at {v.key} not all {expected}")
+    n_edges = len({frozenset((u, v)) for u, v, _ in ball.edges if u != v})
+    order = len(ball.depth)
+    if n_edges != order - 1:
+        violations.append(f"simple view has {n_edges} edges on {order} vertices")
+    n_gens = len(ball.gens)
+    for k, point in enumerate(islice(ball.depth, ball.n_expanded)):
+        block = ball.edges[k * n_gens : (k + 1) * n_gens]
+        assert len(block) == n_gens and all(u == point for u, _, _ in block)
+        non_loop = [v for _, v, _ in block if v != point]
+        distinct = set(non_loop)
+        if len(distinct) != len(non_loop):
+            violations.append(f"parallel edges at {point.key}")
+        looped = point in loops
+        if not looped and ball.g2 and expected_loop(point) is not None:
+            violations.append(f"singly periodic vertex {point.key} misses its loop")
+        want_degree = 2 if looped else 4
+        if len(distinct) != want_degree:
+            violations.append(
+                f"vertex {point.key} has {len(distinct)} distinct neighbors, wanted {want_degree}"
+            )
+        s_here = abs(point.b) + abs(point.d)  # N * s_value; the ball shares N
+        non_increasing = [v for v in distinct if abs(v.b) + abs(v.d) <= s_here]
+        if looped:
+            if non_increasing:
+                violations.append(f"periodic vertex {point.key} has non-growing neighbors")
+        elif len(non_increasing) > 1:
+            violations.append(f"{len(non_increasing)} non-growing neighbors at {point.key}")
+    if violations:
+        return OTHER, violations, loop_vertex
+    return (ROOT_LOOPED4 if loops else TREE4), [], loop_vertex
+
+
+def _classify_matches_reference(ball):
+    """classify_component(ball), after checking its kind, loop vertex and
+    violation list against the oracle on the same ball as a PlainBall."""
+    shape = classify_component(ball)
+    assert (shape.kind, shape.violations, shape.loop_vertex) == _reference_classify(_plain(ball))
+    return shape
+
+
+def test_classify_matches_reference(identity_test_balls):
+    # each prototype's singly periodic start carries the loops, the generic
+    # G2 ball is a tree, and the single-step ball has many violations
+    for name, ball in identity_test_balls.items():
+        shape = _classify_matches_reference(ball)
+        if name == "single-step L8":
+            assert shape.kind == OTHER and len(shape.violations) > 100, name
+        elif name == "G2 L8 generic":
+            assert shape.kind == TREE4, name
+        else:
+            assert shape.kind == ROOT_LOOPED4 and shape.loop_vertex is ball.root, name
+
+
+def test_classify_matches_reference_on_partial_balls(L8):
+    # the vertex cap cuts the last block; the cut edges count as in the oracle
+    G = pt(L8, *GENERIC)
+    for explore in (lambda cap: build_G2(G, radius=4, max_vertices=cap),
+                    lambda cap: expand_ball(G, SINGLE_STEPS, 4, max_vertices=cap)):
+        for cap in (7, 52, 101):
+            with pytest.raises(ResourceCapError) as err:
+                explore(cap)
+            ball = err.value.partial
+            assert ball.n_expanded and len(ball.edges) % 4  # a cut block
+            _classify_matches_reference(ball)
+
+
 def _hand_ball(proto, depth, edges, g2=False):
-    """Ball built by hand on points; ``depth`` lists them root first.  As in a
-    BFS ball, the root, its one expanded vertex, has one out-edge per
-    generator power, at the start of ``edges``."""
-    root = next(iter(depth))
+    """Ball record built by hand from points; ``depth`` lists them root
+    first, in BFS order.  As in a BFS ball, ``edges`` lists the out-edges
+    (source, end, generator power) of the expanded vertices block by block,
+    one per power of the root's block; a cut last block makes the ball
+    partial, as the vertex cap does."""
+    points, depths = list(depth), list(depth.values())
+    root = points[0]
     gens = tuple(g for u, _, g in edges if u is root)
-    ball = OrbitGraph(proto=proto, gens=gens, root=root, g2=g2)
-    ball.depth = dict(depth)
-    ball.edges = list(edges)
-    ball.n_expanded = 1
-    return ball
+    position = {id(P): n for n, P in enumerate(points)}
+    # a vertex's edges are its block, in the root's order of powers
+    assert [(position[id(u)], g) for u, _, g in edges] == [
+        (i // len(gens), gens[i % len(gens)]) for i in range(len(edges))
+    ]
+    assert depths == sorted(depths)
+    return OrbitGraph(
+        proto=proto,
+        gens=gens,
+        root=root,
+        ids={(P.N, P.a, P.b, P.c, P.d): n for n, P in enumerate(points)},
+        levels=[bisect_left(depths, r) for r in range(depths[-1] + 2)],
+        edges=np.array([position[id(v)] for _, v, _ in edges], dtype=np.int64),
+        n_expanded=len(edges) // len(gens),
+        g2=g2,
+        partial=len(edges) % len(gens) != 0,
+    )
 
 
 def _flagged(ball, message):
     """Other verdict whose violations include the message, which names its
-    vertices by their Fraction coordinate quadruple."""
-    shape = classify_component(ball)
+    vertices by their Fraction coordinate quadruple; the oracle agrees."""
+    shape = _classify_matches_reference(ball)
     assert shape.kind == OTHER
     assert message in shape.violations, shape.violations
     assert "Fraction(" in message
 
 
 def test_classify_flags_cycle(L8):
-    # hand-built 4-cycle disguised as a ball: negative control
+    # hand-built 4-cycle disguised as a ball: negative control; one
+    # generator power of order 4 reaches the points one by one
     pts = [pt(L8, F(1, 2), F(i + 1, 7), F(1, 3), F(1, 7)) for i in range(4)]
     ball = _hand_ball(
         L8,
-        dict(zip(pts, (0, 1, 2, 1))),
+        dict(zip(pts, (0, 1, 2, 3))),
         [
             (pts[0], pts[1], ("A", 1)),
-            (pts[1], pts[2], ("B", 1)),
+            (pts[1], pts[2], ("A", 1)),
             (pts[2], pts[3], ("A", 1)),
-            (pts[3], pts[0], ("B", 1)),
+            (pts[3], pts[0], ("A", 1)),
         ],
     )
-    shape = classify_component(ball)
+    shape = _classify_matches_reference(ball)
     assert shape.kind == OTHER
     assert any("edges" in v for v in shape.violations)
 
@@ -572,7 +719,15 @@ def test_classify_refuses_edges_out_of_block_order(L8):
     # does not own the k-th block of edges is refused, not misread
     ball = build_G2(pt(L8, *GENERIC), radius=2)
     assert classify_component(ball).kind == TREE4
-    for edges in (ball.edges[1:] + ball.edges[:1], ball.edges[:-1]):
+    for edges in (np.roll(ball.edges, -1), ball.edges[:-1]):
+        ball.edges = edges
+        with pytest.raises(InternalError, match="are not block"):
+            classify_component(ball)
+    # the looped root's block ends in loops, so only the edge count shows a
+    # cut or an extra edge
+    ball = build_G2(pt(L8, *B_PERIODIC[0]), radius=1)
+    assert classify_component(ball).kind == ROOT_LOOPED4 and ball.edges[-1] == 0
+    for edges in (ball.edges[:-1], np.append(ball.edges, 0)):
         ball.edges = edges
         with pytest.raises(InternalError, match="are not block"):
             classify_component(ball)
