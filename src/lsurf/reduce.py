@@ -200,7 +200,7 @@ class BracketReport:
     excluded_periodic: list[str]
     class_sizes: list[int]
     class_representatives: list[str]
-    classes: dict[tuple, int] = field(repr=False, default_factory=dict)
+    classes: dict[SurfacePoint, int] = field(repr=False, default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -254,7 +254,7 @@ def orbit_class_bracket(
     class_sizes = sorted((len(g) for g in groups.values()), reverse=True)
     reps = sorted(str(vertices[min(g)]) for g in groups.values())
     lower = components(N, proto)[0]
-    classes = {vertices[i].key: uf.find(i) for i in range(len(vertices))}
+    classes = {point: uf.find(i) for i, point in enumerate(vertices)}
     return BracketReport(
         N=N,
         lower=lower,

@@ -3,14 +3,15 @@
 An orbit ball is a record of integers.  A vertex is its id, its position in
 the BFS order.  The ball keeps each vertex's exact numerators (N; a, b, c, d)
 as the key of one key-to-id dict, so deduplication is exact; the id where
-each depth starts; and the end of every edge, as an id, in one int array
-whose positions give the edges' sources and generator powers.  Points are
-built by the scalar step, on request (``OrbitGraph.points``), and for the
-few vertices that a message names or that a periodicity test too small for
-lanes reads.  A ball of finite radius can only certify the *local* structure a
-component is predicted to have (4-valent tree, or the same tree with one loop
-at a singly periodic root); the verdict is evidence about the infinite
-component, not a proof.
+each depth starts; each vertex's periodicity under both generators, as the
+BFS found it; and the end of every edge, as an id, in one int array whose
+positions give the edges' sources and generator powers.  Its simple view is
+one cached ``spectral.FiniteGraph`` on the ids.  Points are built by the
+scalar step, on request (``OrbitGraph.points``), and for the few vertices
+that a message names or a caller asks for.  A ball of finite radius can only
+certify the *local* structure a component is predicted to have (4-valent
+tree, or the same tree with one loop at a singly periodic root); the verdict
+is evidence about the infinite component, not a proof.
 
 A ball grows one BFS level at a time, in one of two ways.  A level of at
 least ``_SCALAR_IMAGES`` images that ``surface.lanes_fit`` admits runs on
@@ -22,9 +23,9 @@ other level steps through the scalar ``apply``, which is also the lanes'
 oracle.  Every test is exact; a float only seeds the integer square root.
 The images are looked up in the order of the vertex-by-vertex BFS on
 ``apply``, so the ball, its BFS order and the partial ball that the vertex
-cap leaves are that BFS's; a large level is looked up ``_CHUNK_VERTICES``
-source vertices at a time.  ``classify_component`` reads the record with
-numpy.
+cap leaves are that BFS's; a large level is stepped, checked and looked up
+``_CHUNK_VERTICES`` source vertices at a time.  ``classify_component`` reads
+the record with numpy.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from operator import not_
 
 import numpy as np
 
+from .spectral import FiniteGraph, cheeger_of_set  # noqa: F401 (re-exported)
 from .surface import (
     InternalError,
     SurfacePoint,
@@ -86,8 +88,11 @@ class OrbitGraph:
     leaves vertex ``i // len(gens)`` by ``gens[i % len(gens)]``.  The
     frontier of a complete ball is the rest of the ids; a partial ball, cut
     by the vertex cap, has none, and its last block stops at the edge where
-    the cap fired.  ``points()`` builds the vertices as points once, on the
-    first request; the simple view and the exports read them.
+    the cap fired.  ``periodic`` holds an int8 per vertex, by id: 1 if the
+    vertex is A-periodic, plus 2 if it is B-periodic.  ``points()`` builds
+    the vertices as points once, on the first request; the point-keyed
+    simple view and the exports read them.  ``simple_graph()`` builds the
+    simple view on the ids once, on the first request.
     """
 
     proto: SurfaceProto
@@ -96,11 +101,13 @@ class OrbitGraph:
     ids: dict[Key, int] = field(default_factory=dict)
     levels: list[int] = field(default_factory=list)
     edges: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    periodic: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int8))
     n_expanded: int = 0
     g2: bool = False
     N: int | None = None
     partial: bool = False
     _points: list[SurfacePoint] | None = field(default=None, init=False, repr=False)
+    _simple: FiniteGraph | None = field(default=None, init=False, repr=False)
 
     def order(self) -> int:
         return len(self.ids)
@@ -118,8 +125,13 @@ class OrbitGraph:
         return self._points
 
     def point(self, i: int) -> SurfacePoint:
-        """Vertex i as a point: the root, or the i-th of ``points()``."""
-        return self.root if i == 0 else self.points()[i]
+        """Vertex i as a point: the root, the i-th of ``points()`` once they
+        are built, or else built alone."""
+        if i == 0:
+            return self.root
+        if self._points is not None:
+            return self._points[i]
+        return SurfacePoint._from_checked(self.proto, next(islice(self.ids, i, None)))
 
     def edge_triples(self):
         """(source, end, generator power) of every edge, in order, as ids."""
@@ -127,16 +139,22 @@ class OrbitGraph:
         ends = zip(self.edges.tolist(), cycle(self.gens))
         return ((i // n_gens, v, g) for i, (v, g) in enumerate(ends))
 
+    def simple_graph(self) -> FiniteGraph:
+        """Undirected simple view on the ids, loops and edge multiplicities
+        dropped; built on the first call."""
+        if self._simple is None:
+            src = np.arange(self.edges.size) // len(self.gens)
+            self._simple = FiniteGraph._build(self.order(), src, self.edges)
+        return self._simple
+
     def simple_adjacency(self) -> dict[SurfacePoint, list[SurfacePoint]]:
-        """Undirected simple view on the points, root first, each neighbour
-        listed once: loops and edge multiplicities dropped."""
+        """The simple view on the points, root first, each neighbour listed
+        once, in ascending id order."""
         points = self.points()
-        adj: list[list[SurfacePoint]] = [[] for _ in points]
-        lo, hi = _simple_edges(self)
-        for u, v in zip(lo.tolist(), hi.tolist()):
-            adj[u].append(points[v])
-            adj[v].append(points[u])
-        return dict(zip(points, adj))
+        indptr, indices = self.simple_graph().csr
+        nbrs = list(map(points.__getitem__, indices.tolist()))
+        bounds = indptr.tolist()
+        return {P: nbrs[bounds[i] : bounds[i + 1]] for i, P in enumerate(points)}
 
     # -- export ------------------------------------------------------------
 
@@ -175,28 +193,18 @@ class OrbitGraph:
         return "\n".join(lines)
 
 
-def _simple_edges(ball: OrbitGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The simple view's edges as id arrays (lo, hi), lo < hi, each edge once,
-    sorted: loops and edge multiplicities dropped."""
-    n, dst = ball.order(), ball.edges
-    src = np.arange(dst.size) // len(ball.gens)
-    keep = src != dst
-    code = np.sort(np.minimum(src, dst)[keep] * n + np.maximum(src, dst)[keep])
-    code = code[np.diff(code, prepend=-1) != 0]  # as np.unique would, several times faster
-    return code // n, code % n
-
-
-def _jointly_periodic(P: SurfacePoint) -> bool:
-    return is_A_periodic(P) and is_B_periodic(P)
+def _flags(P: SurfacePoint) -> int:
+    """Periodicity flags of a point: 1 if A-periodic, plus 2 if B-periodic."""
+    return is_A_periodic(P) + 2 * is_B_periodic(P)
 
 
 def _level_images(
     proto: SurfaceProto, gens: tuple[GenPower, ...], N: int, level: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Numerators (a, b, c, d) of every image of one BFS level, from its int64
-    (4, vertices) lanes ``level``, as a (4, lanes) array in the order vertex
-    by vertex, ``gens`` order within a vertex, and per lane whether the image
-    is periodic under both generators (the module docstring has the calls).
+    """Numerators (a, b, c, d) of every image of the int64 (4, vertices)
+    lanes ``level`` of BFS vertices, as a (4, lanes) array in the order vertex
+    by vertex, ``gens`` order within a vertex, and every image's periodicity
+    flags, as ``_flags`` gives them (the module docstring has the calls).
     """
     n_v = level.shape[1]
     images = np.empty((4, n_v, len(gens)), dtype=level.dtype)
@@ -215,7 +223,7 @@ def _level_images(
         col += k
     images = images.reshape(4, -1)
     images[2], on_A, on_B = check_lanes(proto, N, *images)
-    return images, on_A & on_B
+    return images, on_A + 2 * on_B.astype(np.int8)
 
 
 def _int64_lanes(proto: SurfaceProto, keys: list[Key], E: int) -> np.ndarray | None:
@@ -234,15 +242,17 @@ def _int64_lanes(proto: SurfaceProto, keys: list[Key], E: int) -> np.ndarray | N
 # scalar ``apply``: the array kernel costs about 0.35 ms per level whatever
 # its size, about what 40 scalar steps cost
 _SCALAR_IMAGES = 40
-# a level's images are looked up this many source vertices at a time, so
-# their Python key tuples are never all alive at once
+# a level's images are stepped, checked and looked up this many source
+# vertices at a time, so neither their lane temporaries nor their Python key
+# tuples are ever all alive at once
 _CHUNK_VERTICES = 4096
 
 
 def _bfs(ball: OrbitGraph, radius: int, max_vertices: int) -> OrbitGraph:
     """Fill ``ball`` breadth-first from its root out to the radius, one level
-    at a time; vertices are deduplicated by exact numerators.  A pruned (g2)
-    ball must never reach a vertex periodic under both generators.
+    at a time; vertices are deduplicated by exact numerators, and each new
+    one's periodicity flags are recorded.  A pruned (g2) ball must never
+    reach a vertex periodic under both generators.
 
     The images of a level are looked up by their (N, a, b, c, d) key in the
     order of the vertex-by-vertex BFS, and each new one takes the next id.
@@ -253,8 +263,9 @@ def _bfs(ball: OrbitGraph, radius: int, max_vertices: int) -> OrbitGraph:
         raise ValueError("radius must be >= 0")
     proto, gens, P = ball.proto, ball.gens, ball.root
     N, n_gens = P.N, len(gens)
-    E = max((abs(e) for _, e in gens), default=0)
-    if ball.g2 and _jointly_periodic(P):
+    E = max(abs(e) for _, e in gens)
+    flags = [np.array([_flags(P)], dtype=np.int8)]  # per chunk of new vertices
+    if ball.g2 and flags[0][0] == 3:
         raise InternalError(f"pruned vertex {P.key} as the start")
     ids, levels, dst = ball.ids, ball.levels, []
     level_keys = [(N, P.a, P.b, P.c, P.d)]
@@ -265,22 +276,20 @@ def _bfs(ball: OrbitGraph, radius: int, max_vertices: int) -> OrbitGraph:
     for _ in range(radius):
         if not level_keys:
             break
-        images = None
-        if len(level_keys) * n_gens >= _SCALAR_IMAGES:
-            if level is None or not lanes_fit(proto, max(N, int(np.abs(level).max())), E):
-                level = _int64_lanes(proto, level_keys, E)
-            if level is not None:
-                images, pruned = _level_images(proto, gens, N, level)
-        if images is None:
+        if len(level_keys) * n_gens < _SCALAR_IMAGES:
+            level = None
+        elif level is None or not lanes_fit(proto, max(N, int(np.abs(level).max())), E):
+            level = _int64_lanes(proto, level_keys, E)
+        if level is None:
             if level_points is None:
                 level_points = [SurfacePoint._from_checked(proto, key) for key in level_keys]
             points = [apply(Q, gen, e) for Q in level_points for gen, e in gens]
-        new_keys, new_lanes = [], []
+        new_keys, new_images, new_points = [], [], []
         for first in range(0, len(level_keys), _CHUNK_VERTICES):
-            lo = first * n_gens
-            hi = min(len(level_keys), first + _CHUNK_VERTICES) * n_gens
-            if images is not None:
-                keys = list(zip(repeat(N), *(row.tolist() for row in images[:, lo:hi])))
+            lo, hi = first * n_gens, (first + _CHUNK_VERTICES) * n_gens
+            if level is not None:
+                images, image_flags = _level_images(proto, gens, N, level[:, first : first + _CHUNK_VERTICES])
+                keys = list(zip(repeat(N), *(row.tolist() for row in images)))
             else:
                 keys = [(Q.N, Q.a, Q.b, Q.c, Q.d) for Q in points[lo:hi]]
             unknown = list(compress(count(), map(not_, map(ids.__contains__, keys))))
@@ -288,39 +297,42 @@ def _bfs(ball: OrbitGraph, radius: int, max_vertices: int) -> OrbitGraph:
             # it; in the reversed pairs the first lane is written last
             first_lane = dict(zip(map(keys.__getitem__, reversed(unknown)), reversed(unknown)))
             fresh = sorted(first_lane.values())
+            if level is not None:
+                fresh_flags = image_flags[fresh]
+            else:
+                fresh_flags = np.array([_flags(points[lo + lane]) for lane in fresh], dtype=np.int8)
             # a pruned point is fixed by these powers, which are invertible,
             # so only a pruned start could lead to one
-            if ball.g2 and images is not None:
-                bad = pruned[lo + np.array(fresh, dtype=np.int64)].tolist()
-            elif ball.g2:
-                bad = [_jointly_periodic(points[lo + lane]) for lane in fresh]
-            else:
-                bad = []
-            n_new = min(bad.index(True) if True in bad else len(fresh), max(max_vertices - len(ids), 0))
+            bad = np.flatnonzero(fresh_flags == 3).tolist() if ball.g2 else []
+            n_new = min(bad[0] if bad else len(fresh), max(max_vertices - len(ids), 0))
             ids.update(zip(map(keys.__getitem__, fresh[:n_new]), count(len(ids))))
+            flags.append(fresh_flags[:n_new])
             if n_new < len(fresh):
                 # leave the ball as the vertex-by-vertex BFS does at this lane
                 lane = fresh[n_new]
                 dst += map(ids.__getitem__, keys[:lane])
-                ball.edges = np.array(dst, dtype=np.int64)
+                ball.edges, ball.periodic = np.array(dst, dtype=np.int64), np.concatenate(flags)
                 ball.n_expanded += first + lane // n_gens
                 levels.append(len(ids))
-                if n_new < len(bad) and bad[n_new]:
+                if bad and bad[0] == n_new:
                     source = SurfacePoint._from_checked(proto, level_keys[first + lane // n_gens])
                     raise InternalError(f"pruned vertex reached from {source.key}")
                 ball.partial = True
                 raise ResourceCapError(f"ball exceeded {max_vertices} vertices", partial=ball)
             dst += map(ids.__getitem__, keys)
             new_keys += map(keys.__getitem__, fresh)
-            new_lanes += [lo + lane for lane in fresh]
+            if level is not None:
+                new_images.append(images[:, fresh])
+            else:
+                new_points += [points[lo + lane] for lane in fresh]
         ball.n_expanded += len(level_keys)
         levels.append(len(ids))
         level_keys = new_keys
-        if images is not None:
-            level, level_points = images[:, new_lanes], None
+        if level is not None:
+            level, level_points = np.concatenate(new_images, axis=1), None
         else:
-            level, level_points = None, [points[lane] for lane in new_lanes]
-    ball.edges = np.array(dst, dtype=np.int64)
+            level_points = new_points
+    ball.edges, ball.periodic = np.array(dst, dtype=np.int64), np.concatenate(flags)
     return ball
 
 
@@ -331,6 +343,8 @@ def expand_ball(
     max_vertices: int = 200_000,
 ) -> OrbitGraph:
     """BFS ball of the given radius; vertices deduplicated by exact coordinates."""
+    if not gens:
+        raise ValueError("at least one generator power is needed")
     for gen, exp in gens:
         if gen not in ("A", "B"):
             raise ValueError(f"unknown generator {gen!r}")
@@ -342,16 +356,16 @@ def expand_ball(
 
 def find_non_excluded_start(P: SurfacePoint) -> SurfacePoint:
     """Nearest orbit point not periodic under both generators (single steps)."""
-    if not _jointly_periodic(P):
+    if _flags(P) != 3:
         return P
     # the survivor is almost always near P, so grow the ball one radius at a
     # time; a smaller ball's BFS order is a prefix of the larger one's
     checked = 1  # P itself
     for radius in range(1, 5):
         ball = expand_ball(P, (("A", 1), ("A", -1), ("B", 1), ("B", -1)), radius)
-        for Q in islice(ball.points(), checked, None):  # the new sphere, in BFS order
-            if not _jointly_periodic(Q):
-                return Q
+        kept = np.flatnonzero(ball.periodic[checked:] != 3)  # the new sphere, in BFS order
+        if kept.size:
+            return ball.point(checked + int(kept[0]))
         if ball.n_expanded == ball.order():
             break  # no vertex at this radius: the ball is the whole orbit
         checked = ball.order()
@@ -386,23 +400,6 @@ class ComponentShape:
     loop_vertex: SurfacePoint | None = None
 
 
-def _periodic(
-    proto: SurfaceProto, keys: list[Key], lanes: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """A- and B-periodicity of the vertices with these numerator keys: one
-    ``check_lanes`` call on their int64 lanes, or per point where ``lanes``
-    is None or a ``_bfs`` level of as many images would step through
-    ``apply``."""
-    if lanes is not None and len(keys) >= _SCALAR_IMAGES:
-        _, on_A, on_B = check_lanes(proto, keys[0][0], *lanes)
-        return on_A, on_B
-    points = [SurfacePoint._from_checked(proto, key) for key in keys]
-    return (
-        np.array([is_A_periodic(Q) for Q in points], dtype=bool),
-        np.array([is_B_periodic(Q) for Q in points], dtype=bool),
-    )
-
-
 def classify_component(ball: OrbitGraph) -> ComponentShape:
     """Certify the ball as a 4-valent-tree or root-looped-tree fragment.
 
@@ -413,9 +410,10 @@ def classify_component(ball: OrbitGraph) -> ComponentShape:
     non-increasing neighbor (so any non-backtracking path increases strictly
     once it stops decreasing).  Any failure is reported as Other with the
     explicit violations.  Reads the ball's id record with numpy (see
-    ``OrbitGraph``), each expanded vertex's out-edges as its block of
-    ``edges``; points are built for the looped vertices and the vertices a
-    violation names.
+    ``OrbitGraph``): each expanded vertex's out-edges as its block of
+    ``edges``, the periodicity flags the BFS recorded, and the simple view's
+    edge count from ``simple_graph()``; points are built for the looped
+    vertex and the vertices a violation names.
     """
     n_exp, n_gens, n = ball.n_expanded, len(ball.gens), ball.order()
     if n_exp == 0:
@@ -448,17 +446,16 @@ def classify_component(ball: OrbitGraph) -> ComponentShape:
     if len(loops) > 1:
         violations.append(f"{len(loops)} looped vertices: {sorted(map(named, loops))[:2]}...")
     loop_vertex = None
-    on_A, on_B = _periodic(ball.proto, [keys[v] for v in loops], None)
-    for (v, gens_at_v), pa, pb in zip(loops.items(), on_A.tolist(), on_B.tolist()):
+    for v, gens_at_v in loops.items():
         loop_vertex = v
-        expected = "A" if pa else "B"
-        if pa == pb:
+        expected = {1: "A", 2: "B"}.get(int(ball.periodic[v]))  # singly periodic
+        if expected is None:
             violations.append(f"loop at a vertex periodic under neither/both: {named(v)}")
         elif any(g != expected for g, _ in gens_at_v):
             violations.append(f"loop labels {gens_at_v} at {named(v)} not all {expected}")
 
     # acyclicity of the simple view (ball is connected by construction)
-    n_edges = _simple_edges(ball)[0].size
+    n_edges = ball.simple_graph().csr[1].size // 2
     if n_edges != n - 1:
         violations.append(f"simple view has {n_edges} edges on {n} vertices")
 
@@ -470,11 +467,8 @@ def classify_component(ball: OrbitGraph) -> ComponentShape:
     distinct[:, 1:] &= ends[:, 1:] != ends[:, :-1]
     n_distinct = distinct.sum(axis=1)
     parallel = n_distinct != (~own).sum(axis=1)
-    if ball.g2:
-        on_A, on_B = _periodic(ball.proto, keys[:n_exp], None if lanes is None else lanes[:, :n_exp])
-        misses = ~looped & (on_A != on_B)
-    else:
-        misses = np.zeros(n_exp, dtype=bool)
+    singly = (ball.periodic[:n_exp] == 1) | (ball.periodic[:n_exp] == 2)
+    misses = singly & ~looped & ball.g2
     want = np.where(looped, 2, 4)
     n_lower = (distinct & (s[ends] <= s[:n_exp, None])).sum(axis=1)
     non_growing = n_lower > np.where(looped, 0, 1)
@@ -516,17 +510,6 @@ def root_paths_strictly_increasing(ball: OrbitGraph) -> bool:
 
 
 # -- Cheeger utilities -------------------------------------------------------
-
-
-def cheeger_of_set(adj: dict, M: set) -> Fraction:
-    """Exact |boundary(M)| / |M| for a finite vertex set in a simple graph."""
-    if not M:
-        raise ValueError("M must be nonempty")
-    boundary = 0
-    for v in M:
-        if any(u not in M for u in adj[v] if u != v):
-            boundary += 1
-    return Fraction(boundary, len(M))
 
 
 def tree_cheeger_profile(k: int, n_max: int) -> list[Fraction]:

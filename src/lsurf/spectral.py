@@ -10,11 +10,11 @@ vanishing outside S satisfies  c_S^2/(2k) <= mu0(S) <= k*c_S  with
 c_S = min c(M) over nonempty M inside S, which is the finite, provable form
 of the sandwich used here.
 
-A ``FiniteGraph`` holds its edges twice, both set at construction by one
-numpy build: as the sorted edge tuple, which equality compares, and as one
-CSR array pair (row pointers, ascending neighbours), which every computation
-reads; ``dirichlet_mu0`` builds the Laplacian restricted to the support
-straight from the support's CSR rows.
+A ``FiniteGraph`` holds its edges once, as one CSR array pair (row
+pointers, ascending neighbours) set at construction by one numpy build; its
+edge list is a view read off the CSR, and an orbit ball's simple view is one
+of these graphs (``OrbitGraph.simple_graph``).  ``dirichlet_mu0`` builds the
+Laplacian restricted to the support straight from the support's CSR rows.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 import numpy as np
-
-from .schreier import cheeger_of_set
 
 
 def _scipy():
@@ -55,35 +53,38 @@ def _ranges(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return offsets + np.arange(offsets.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGraph:
-    """Simple undirected graph on vertices 0..n-1, compared by (n, edges).
-
-    ``edges`` lists each edge once as (u, v) with u < v, sorted.  ``csr``
-    holds the same graph as one compressed sparse row array pair: the
-    neighbours of i, ascending, are ``indices[indptr[i]:indptr[i + 1]]``.
-    Every constructor sets both through ``_build``, which drops loops and
-    duplicate edges; the computations here read ``csr``.
+    """Simple undirected graph on vertices 0..n-1, kept as one compressed
+    sparse row array pair ``csr``: the neighbours of i, ascending, are
+    ``indices[indptr[i]:indptr[i + 1]]``.  Every constructor goes through
+    ``_build``, which drops loops and duplicate edges.  Two graphs are equal
+    only if they are the same object.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
-    csr: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
+    csr: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
     @classmethod
     def _build(cls, n: int, src: np.ndarray, dst: np.ndarray) -> FiniteGraph:
         """The graph of the edges {src[k], dst[k]} (int64 ids in 0..n-1)."""
         keep = src != dst  # loops cancel in b(i) - b(j)
-        lo, hi = np.minimum(src, dst)[keep], np.maximum(src, dst)[keep]
-        code = np.sort(lo * n + hi)  # sorted by (lo, hi)
-        code = code[np.diff(code, prepend=-1) != 0]  # each edge once; np.unique is slower
-        lo, hi = code // n, code % n
-        # CSR rows: both directions, sorted by (row, neighbour)
-        both = np.sort(np.concatenate([code, hi * n + lo]))
+        src, dst = src[keep], dst[keep]
+        # both directions as row * n + neighbour, sorted, each edge once;
+        # np.unique is slower
+        code = np.sort(np.concatenate([src * n + dst, dst * n + src]))
+        code = code[np.diff(code, prepend=-1) != 0]
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(both // n, minlength=n), out=indptr[1:])
-        csr = (indptr, both % n)
-        return cls(n=n, edges=tuple(zip(lo.tolist(), hi.tolist())), csr=csr)
+        np.cumsum(np.bincount(code // n, minlength=n), out=indptr[1:])
+        return cls(n=n, csr=(indptr, code % n))
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Each edge once as (u, v) with u < v, sorted, read off the CSR."""
+        indptr, indices = self.csr
+        src = np.repeat(np.arange(self.n), np.diff(indptr))
+        upper = src < indices
+        return tuple(zip(src[upper].tolist(), indices[upper].tolist()))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> FiniteGraph:
@@ -182,6 +183,17 @@ def dirichlet_mu0(G: FiniteGraph, support: set[int], dense_cutoff: int = 128) ->
         residual = float(np.linalg.norm(exc.eigenvalues)) if exc.eigenvalues.size else None
         raise SpectralConvergenceError("eigensolver did not converge", residual) from exc
     return float(vals[0])
+
+
+def cheeger_of_set(adj: dict, M: set) -> Fraction:
+    """Exact |boundary(M)| / |M| for a finite vertex set in a simple graph."""
+    if not M:
+        raise ValueError("M must be nonempty")
+    boundary = 0
+    for v in M:
+        if any(u not in M for u in adj[v] if u != v):
+            boundary += 1
+    return Fraction(boundary, len(M))
 
 
 _BRUTE_FORCE_CAP = 20

@@ -270,7 +270,7 @@ def test_c8_orbit_bracket_n1():
         assert report.excluded_periodic == ["0,0,1,0", "1,0,0,0"]
         # every class is consistent with the residue-graph components
         labels = component_labels(1)
-        roots = {labels[dense_index(project_point(p_key))] for p_key in report.classes}
+        roots = {labels[dense_index(project(P))] for P in report.classes}
         assert len(roots) <= report.lower or report.N > 1
         print(
             f"  reduced set: {report.vertex_count} points, "
@@ -278,10 +278,3 @@ def test_c8_orbit_bracket_n1():
             f"lower bound C(1) = {report.lower}, {elapsed:.0f}s"
         )
         assert report.upper >= report.lower
-
-
-def project_point(key):
-    from lsurf.surface import SurfacePoint
-
-    P = SurfacePoint.from_fractions(prototype(8, 0), *key)
-    return project(P)

@@ -277,11 +277,14 @@ def test_closed_stdout_exits_quietly():
 
 
 def test_scipy_is_imported_by_the_first_eigensolve():
-    # importing lsurf and reducing a point must not pay for scipy
+    # importing lsurf, reducing a point and building and classifying a
+    # pruned ball, whose simple view is a spectral graph, must not pay for scipy
     script = (
         "import sys, lsurf\n"
         "from lsurf.cli import main\n"
         "assert main(['reduce', '--point', '-141,100,1/2,0']) == 0\n"
+        "P = lsurf.parse_point(lsurf.prototype(8, 0), '1/3,1/3,1/2,0')\n"
+        "assert lsurf.classify_component(lsurf.build_G2(P, radius=2)).kind == 'RootLooped4'\n"
         "assert 'scipy' not in sys.modules, 'scipy imported before any eigensolve'\n"
         "from lsurf.spectral import FiniteGraph, dirichlet_mu0\n"
         "assert dirichlet_mu0(FiniteGraph.from_edges(2, [(0, 1)]), {0}) == 1.0\n"

@@ -24,7 +24,6 @@ from lsurf.schreier import (
     ResourceCapError,
     _int64_lanes,
     _level_images,
-    _periodic,
     build_G2,
     build_regular_tree_ball,
     build_root_looped_tree,
@@ -37,6 +36,7 @@ from lsurf.schreier import (
     root_paths_strictly_increasing,
     tree_cheeger_profile,
 )
+from lsurf.spectral import FiniteGraph
 from lsurf.surface import (
     InternalError,
     SurfacePoint,
@@ -195,6 +195,29 @@ def test_edge_ends_are_the_stored_vertices(identity_test_balls):
         assert 0 <= ball.edges.min() and ball.edges.max() < ball.order(), name
 
 
+def _assert_flags_match_points(ball):
+    # the flags the BFS recorded are the scalar periodicity tests of every vertex
+    want = [is_A_periodic(P) + 2 * is_B_periodic(P) for P in ball.points()]
+    assert ball.periodic.dtype == np.int8 and ball.periodic.tolist() == want, ball.root
+
+
+def _assert_simple_graph_matches_adjacency(ball):
+    # the cached simple view on the ids is the graph of the point-keyed one,
+    # which lists each vertex's neighbours in ascending id order
+    G = ball.simple_graph()
+    adj = ball.simple_adjacency()
+    H, ids = FiniteGraph.from_adjacency(adj)
+    assert ball.simple_graph() is G and list(ids.values()) == list(range(ball.order()))
+    assert all([ids[v] for v in nbrs] == sorted(ids[v] for v in nbrs) for nbrs in adj.values())
+    assert G.n == H.n and all(np.array_equal(g, h) for g, h in zip(G.csr, H.csr)), ball.root
+
+
+def test_flags_and_simple_graph_match_the_points(identity_test_balls):
+    for ball in identity_test_balls.values():
+        _assert_flags_match_points(ball)
+        _assert_simple_graph_matches_adjacency(ball)
+
+
 def test_identity_views_match_equality_oracles(identity_test_balls):
     # simple_adjacency reads the id record; the oracle compares points
     for name, ball in identity_test_balls.items():
@@ -258,6 +281,7 @@ def _assert_matches_reference(ball, radius, max_vertices=200_000):
     vertices = ball.points()
     assert set(vertices[: ball.n_expanded]) == expanded, ball.root
     assert set([] if ball.partial else vertices[ball.n_expanded :]) == frontier, ball.root
+    _assert_flags_match_points(ball)
 
 
 def _start_points(proto, seed):
@@ -357,8 +381,9 @@ def test_bfs_past_the_level_guard_steps_through_apply(D, eps, limit, monkeypatch
 
 def test_bfs_with_a_denominator_past_int64_matches_reference(L8, monkeypatch):
     # N = 3**45 > 2**63: lanes_fit refuses every level, so every level steps
-    # through apply, the periodicity tests of classify_component run per
-    # point, whatever the level size, and its complexities are Python ints
+    # through apply and tests the periodicity of each new point, whatever
+    # the level size (``_assert_matches_reference`` checks ``ball.periodic``),
+    # and the complexities of classify_component are Python ints
     monkeypatch.setattr("lsurf.schreier._SCALAR_IMAGES", 0)
     P = pt(L8, F(1, 3**45), F(1, 3**45), F(2, 3**45), F(1, 3**45))
     assert P.N > 2**63 and not lanes_fit(L8, P.N, 0)
@@ -367,10 +392,6 @@ def test_bfs_with_a_denominator_past_int64_matches_reference(L8, monkeypatch):
         _assert_matches_reference(ball, 3)
         keys = list(ball.ids)[: ball.n_expanded]
         assert len(keys) > 1 and _int64_lanes(L8, keys, 0) is None
-        on_A, on_B = _periodic(L8, keys, None)
-        expanded = ball.points()[: ball.n_expanded]
-        assert on_A.tolist() == [is_A_periodic(v) for v in expanded]
-        assert on_B.tolist() == [is_B_periodic(v) for v in expanded]
         # the single steps are far below the growth thresholds
         assert _classify_matches_reference(ball).kind == (TREE4 if ball.g2 else OTHER)
 
@@ -381,6 +402,13 @@ def test_unknown_generator_names_are_refused(L8):
         expand_ball(P, [("C", 1), ("C", -1)], 2)
     with pytest.raises(ValueError, match="unknown generator 'C'"):
         apply(P, "C", 1)
+
+
+def test_empty_generator_list_is_refused(L8):
+    # a ball without generators would have no edges to classify
+    P = pt(L8, F(1, 3), F(1, 3), F(1, 2), 0)
+    with pytest.raises(ValueError, match="at least one generator power"):
+        expand_ball(P, [], 2)
 
 
 def test_pruned_start_is_an_internal_error(L8, monkeypatch):
@@ -403,7 +431,7 @@ def test_pruned_image_is_an_internal_error(L8, monkeypatch, scalar_images, chunk
     monkeypatch.setattr("lsurf.schreier._SCALAR_IMAGES", scalar_images)
     monkeypatch.setattr("lsurf.schreier._CHUNK_VERTICES", chunk)
     monkeypatch.setattr("lsurf.schreier.check_lanes", all_pruned)
-    monkeypatch.setattr("lsurf.schreier._jointly_periodic", lambda Q: Q != P)
+    monkeypatch.setattr("lsurf.schreier._flags", lambda Q: 2 if Q == P else 3)
     with pytest.raises(InternalError, match="pruned vertex reached from"):
         build_G2(P, radius=2)
 
@@ -591,6 +619,8 @@ def test_classify_matches_reference_on_partial_balls(L8):
             ball = err.value.partial
             assert ball.n_expanded and len(ball.edges) % 4  # a cut block
             _classify_matches_reference(ball)
+            _assert_flags_match_points(ball)
+            _assert_simple_graph_matches_adjacency(ball)
 
 
 def _hand_ball(proto, depth, edges, g2=False):
@@ -615,6 +645,7 @@ def _hand_ball(proto, depth, edges, g2=False):
         ids={(P.N, P.a, P.b, P.c, P.d): n for n, P in enumerate(points)},
         levels=[bisect_left(depths, r) for r in range(depths[-1] + 2)],
         edges=np.array([position[id(v)] for _, v, _ in edges], dtype=np.int64),
+        periodic=np.array([is_A_periodic(P) + 2 * is_B_periodic(P) for P in points], dtype=np.int8),
         n_expanded=len(edges) // len(gens),
         g2=g2,
         partial=len(edges) % len(gens) != 0,
