@@ -6,12 +6,14 @@ as the key of one key-to-id dict, so deduplication is exact; the id where
 each depth starts; each vertex's periodicity under both generators, as the
 BFS found it; and the end of every edge, as an id, in one int array whose
 positions give the edges' sources and generator powers.  Its simple view is
-one cached ``spectral.FiniteGraph`` on the ids.  Points are built by the
-scalar step, on request (``OrbitGraph.points``), and for the few vertices
-that a message names or a caller asks for.  A ball of finite radius can only
-certify the *local* structure a component is predicted to have (4-valent
-tree, or the same tree with one loop at a singly periodic root); the verdict
-is evidence about the infinite component, not a proof.
+one cached ``spectral.FiniteGraph`` on the ids, which
+``OrbitGraph.simple_adjacency`` keys by points, finding a point's id by its
+numerators.  Points are built by the scalar step, for the few vertices that
+a message names or a caller asks for, and all at once (``OrbitGraph.points``)
+only to iterate or index that view and for the exports.  A ball of finite
+radius can only certify the *local* structure a component is predicted to
+have (4-valent tree, or the same tree with one loop at a singly periodic
+root); the verdict is evidence about the infinite component, not a proof.
 
 A ball grows one BFS level at a time, in one of two ways.  A level of at
 least ``_SCALAR_IMAGES`` images that ``surface.lanes_fit`` admits runs on
@@ -30,6 +32,7 @@ the record with numpy.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress, count, cycle, groupby, islice, repeat
@@ -38,7 +41,7 @@ from operator import not_
 
 import numpy as np
 
-from .spectral import FiniteGraph, cheeger_of_set  # noqa: F401 (re-exported)
+from .spectral import FiniteGraph, GraphView, cheeger_of_set  # noqa: F401 (re-exported)
 from .surface import (
     InternalError,
     SurfacePoint,
@@ -89,10 +92,11 @@ class OrbitGraph:
     frontier of a complete ball is the rest of the ids; a partial ball, cut
     by the vertex cap, has none, and its last block stops at the edge where
     the cap fired.  ``periodic`` holds an int8 per vertex, by id: 1 if the
-    vertex is A-periodic, plus 2 if it is B-periodic.  ``points()`` builds
-    the vertices as points once, on the first request; the point-keyed
-    simple view and the exports read them.  ``simple_graph()`` builds the
-    simple view on the ids once, on the first request.
+    vertex is A-periodic, plus 2 if it is B-periodic.  ``simple_graph()``
+    builds the simple view on the ids once, on the first request, and
+    ``simple_adjacency()`` keys it by points.  ``points()`` builds the
+    vertices as points once, on the first request, for the exports and to
+    iterate or index the point-keyed view, whose id map needs none.
     """
 
     proto: SurfaceProto
@@ -147,14 +151,11 @@ class OrbitGraph:
             self._simple = FiniteGraph._build(self.order(), src, self.edges)
         return self._simple
 
-    def simple_adjacency(self) -> dict[SurfacePoint, list[SurfacePoint]]:
-        """The simple view on the points, root first, each neighbour listed
-        once, in ascending id order."""
-        points = self.points()
-        indptr, indices = self.simple_graph().csr
-        nbrs = list(map(points.__getitem__, indices.tolist()))
-        bounds = indptr.tolist()
-        return {P: nbrs[bounds[i] : bounds[i + 1]] for i, P in enumerate(points)}
+    def simple_adjacency(self) -> GraphView:
+        """The simple view on the points, read-only, over ``simple_graph()``:
+        root first, each neighbour listed once, in ascending id order.  Its
+        id map looks a point up by its numerators and builds no point."""
+        return GraphView(self.simple_graph(), _PointIds(self), self.points)
 
     # -- export ------------------------------------------------------------
 
@@ -191,6 +192,30 @@ class OrbitGraph:
             lines.append(f'  v{u} -- v{v} [label="{g}^{e}"];')
         lines.append("}")
         return "\n".join(lines)
+
+
+class _PointIds(Mapping):
+    """The id of each vertex of a ball as a point, found by its numerators in
+    ``ball.ids``; a non-point or a point of another prototype is no key.
+    Iterating lists ``ball.points()``."""
+
+    __slots__ = ("_ball",)
+
+    def __init__(self, ball: OrbitGraph) -> None:
+        self._ball = ball
+
+    def __getitem__(self, P) -> int:
+        if isinstance(P, SurfacePoint) and P.proto is self._ball.proto:
+            i = self._ball.ids.get((P.N, P.a, P.b, P.c, P.d))
+            if i is not None:
+                return i
+        raise KeyError(P)
+
+    def __iter__(self) -> Iterator[SurfacePoint]:
+        return iter(self._ball.points())
+
+    def __len__(self) -> int:
+        return len(self._ball.ids)
 
 
 def _flags(P: SurfacePoint) -> int:

@@ -36,7 +36,7 @@ from lsurf.schreier import (
     root_paths_strictly_increasing,
     tree_cheeger_profile,
 )
-from lsurf.spectral import FiniteGraph
+from lsurf.spectral import FiniteGraph, dirichlet_mu0, graph_ball
 from lsurf.surface import (
     InternalError,
     SurfacePoint,
@@ -202,14 +202,31 @@ def _assert_flags_match_points(ball):
 
 
 def _assert_simple_graph_matches_adjacency(ball):
-    # the cached simple view on the ids is the graph of the point-keyed one,
-    # which lists each vertex's neighbours in ascending id order
+    # a plain copy of the point-keyed view, relabelled, is the cached simple
+    # view on the ids, so the view lists each vertex's neighbours once, in
+    # ascending id order
     G = ball.simple_graph()
     adj = ball.simple_adjacency()
-    H, ids = FiniteGraph.from_adjacency(adj)
-    assert ball.simple_graph() is G and list(ids.values()) == list(range(ball.order()))
-    assert all([ids[v] for v in nbrs] == sorted(ids[v] for v in nbrs) for nbrs in adj.values())
+    H, copy_ids = FiniteGraph.from_adjacency({P: list(nbrs) for P, nbrs in adj.items()})
+    assert ball.simple_graph() is G and H is not G
     assert G.n == H.n and all(np.array_equal(g, h) for g, h in zip(G.csr, H.csr)), ball.root
+    assert list(copy_ids.values()) == list(range(ball.order()))
+    # the view hands back that graph and its id map as they are
+    graph, ids = FiniteGraph.from_adjacency(adj)
+    assert graph is G and ids is adj.ids
+    points = ball.points()
+    assert len(ids) == len(adj) == ball.order() and list(ids) == list(adj) == points
+    assert all(ids[P] == i for i, P in enumerate(points))
+    # a numerator tuple, an id and a point with the root's numerators on
+    # another prototype are no keys
+    root = ball.root
+    key = (root.N, root.a, root.b, root.c, root.d)
+    other = next(p for p in map(prototype, *zip(*ALL_SURFACES)) if p is not ball.proto)
+    for stranger in (key, 0, SurfacePoint._from_checked(other, key)):
+        for mapping in (ids, adj):
+            with pytest.raises(KeyError):
+                mapping[stranger]
+            assert stranger not in mapping, ball.root
 
 
 def test_flags_and_simple_graph_match_the_points(identity_test_balls):
@@ -232,6 +249,42 @@ def test_identity_views_match_equality_oracles(identity_test_balls):
     single = identity_test_balls["single-step L8"]
     n_edges = sum(map(len, single.simple_adjacency().values())) // 2
     assert single.order() == 1076 and n_edges > single.order() - 1  # has cycles
+
+
+def test_orbit_ball_op_builds_no_point_after_the_bfs(monkeypatch):
+    # the orbit-ball op after build_G2: classify, the simple view, the
+    # support and mu0 build no point but a loop vertex away from the root
+    L8, L5m1 = prototype(8, 0), prototype(5, -1)
+    starts = [
+        pt(L8, F(-1, 2), F(1, 2), F(-3, 2), F(3, 2)),  # Tree4
+        sample_b_periodic_point(L8, 2, random.Random("op-points"), a_periodic=False),
+        pt(L5m1, -1, 1, -6, 4),  # looped away from the root
+    ]
+    from_checked, init = SurfacePoint._from_checked.__func__, SurfacePoint.__init__
+    built = []
+
+    def counting_from_checked(cls, proto, key):
+        built.append(key)
+        return from_checked(cls, proto, key)
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    seen = set()
+    for P in starts:
+        ball = build_G2(P, radius=6)
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(SurfacePoint, "_from_checked", classmethod(counting_from_checked))
+            m.setattr(SurfacePoint, "__init__", counting_init)
+            shape = classify_component(ball)
+            G, ids = FiniteGraph.from_adjacency(ball.simple_adjacency())
+            dirichlet_mu0(G, graph_ball(G, ids[ball.root], 5))
+        off_root = shape.loop_vertex not in (None, ball.root)
+        assert len(built) == off_root and ball._points is None, (P, built)
+        seen.add((shape.kind, off_root))
+    assert seen == {(TREE4, False), (ROOT_LOOPED4, False), (ROOT_LOOPED4, True)}
 
 
 def _reference_bfs(ball, P, radius, max_vertices=200_000):

@@ -20,6 +20,7 @@ from lsurf.schreier import (
     build_regular_tree_ball,
     build_root_looped_tree,
     classify_component,
+    expand_ball,
 )
 from lsurf.spectral import (
     FiniteGraph,
@@ -389,6 +390,55 @@ def assert_csr_matches_oracles(adj, root_radii, supports):
             got = _dirichlet_laplacian(graph, np.array(sorted(support))).toarray()
             assert np.array_equal(got, L)
             assert abs(dirichlet_mu0(graph, support) - np.linalg.eigvalsh(L)[0]) < 1e-12
+
+
+def dense_laplacian(G):
+    """The full Laplacian of G as a dense array, from its edge list."""
+    L = np.zeros((G.n, G.n))
+    for u, v in G.edges:
+        L[u, v] = L[v, u] = -1
+        L[u, u] += 1
+        L[v, v] += 1
+    return L
+
+
+def test_restricted_laplacian_is_the_dense_one_restricted():
+    rng = random.Random("restricted-laplacian")
+    tree, tree_support = tree_ball_graph(3)
+    looped, looped_support = root_looped_graph(3)
+    P = SurfacePoint.from_fractions(prototype(8, 0), F(1, 5), F(1, 5), F(2, 5), F(1, 5))
+    single = expand_ball(P, [("A", 1), ("A", -1), ("B", 1), ("B", -1)], 6).simple_graph()
+    assert len(single.edges) > single.n - 1  # has cycles
+    cases = [
+        (tree, tree_support),
+        (looped, looped_support),
+        (single, graph_ball(single, 0, 4)),
+        (single, set(rng.sample(range(single.n), 300))),  # scattered, neither ball nor connected
+        (single, {7}),
+        (tree, {0}),
+        (looped, set(range(looped.n))),
+    ]
+    for G, support in cases:
+        idx = np.array(sorted(support))
+        got = _dirichlet_laplacian(G, idx)
+        want = dense_laplacian(G)[np.ix_(idx, idx)]
+        assert isinstance(got, scipy.sparse.csr_matrix) and got.shape == want.shape
+        assert np.array_equal(got.toarray(), want)
+        # each row: its diagonal, then its inside neighbours once, ascending
+        for r in range(idx.size):
+            cols = got.indices[got.indptr[r] : got.indptr[r + 1]].tolist()
+            assert cols[0] == r and cols[1:] == sorted(set(cols[1:]) - {r})
+    # the tree, looped and single-step ball supports have neighbours outside
+    for G, support in cases[:3]:
+        adj = G.adjacency()
+        assert any(u not in support for v in support for u in adj[v])
+
+
+def test_from_adjacency_names_missing_neighbours():
+    with pytest.raises(ValueError, match=r"neighbours \[1\] are not vertices"):
+        FiniteGraph.from_adjacency({0: [1]})
+    with pytest.raises(ValueError, match=r"neighbours \[5, 4, 3, 2, 6\] are not"):
+        FiniteGraph.from_adjacency({0: [5, 4, 1], 1: [0, 3, 2, 5, 6, 7]})
 
 
 def random_adjacency(rng, n):
