@@ -41,7 +41,7 @@ from operator import not_
 
 import numpy as np
 
-from .spectral import FiniteGraph, GraphView, cheeger_of_set  # noqa: F401 (re-exported)
+from .spectral import FiniteGraph, cheeger_of_set  # noqa: F401 (re-exported)
 from .surface import (
     InternalError,
     SurfacePoint,
@@ -151,11 +151,12 @@ class OrbitGraph:
             self._simple = FiniteGraph._build(self.order(), src, self.edges)
         return self._simple
 
-    def simple_adjacency(self) -> GraphView:
+    def simple_adjacency(self) -> PointView:
         """The simple view on the points, read-only, over ``simple_graph()``:
-        root first, each neighbour listed once, in ascending id order.  Its
-        id map looks a point up by its numerators and builds no point."""
-        return GraphView(self.simple_graph(), _PointIds(self), self.points)
+        root first, each neighbour listed once, in ascending id order.
+        ``FiniteGraph.from_adjacency`` hands back the cached graph and a
+        point -> id map that builds no point."""
+        return PointView(self, neighbours=True)
 
     # -- export ------------------------------------------------------------
 
@@ -194,28 +195,47 @@ class OrbitGraph:
         return "\n".join(lines)
 
 
-class _PointIds(Mapping):
-    """The id of each vertex of a ball as a point, found by its numerators in
-    ``ball.ids``; a non-point or a point of another prototype is no key.
-    Iterating lists ``ball.points()``."""
+class PointView(Mapping):
+    """An orbit ball read as a mapping on its vertices as points, read-only:
+    to each vertex's id or, with ``neighbours``, to the points of its
+    distinct neighbours in the simple view, ascending by id.  A point is
+    found by its numerators in ``ball.ids``, building no point; a non-point
+    or a point of another prototype is no key.  Iterating lists
+    ``ball.points()``."""
 
-    __slots__ = ("_ball",)
+    __slots__ = ("ball", "neighbours")
 
-    def __init__(self, ball: OrbitGraph) -> None:
-        self._ball = ball
+    def __init__(self, ball: OrbitGraph, neighbours: bool = False) -> None:
+        self.ball, self.neighbours = ball, neighbours
 
-    def __getitem__(self, P) -> int:
-        if isinstance(P, SurfacePoint) and P.proto is self._ball.proto:
-            i = self._ball.ids.get((P.N, P.a, P.b, P.c, P.d))
-            if i is not None:
-                return i
-        raise KeyError(P)
+    def _id(self, P) -> int | None:
+        ball = self.ball
+        if isinstance(P, SurfacePoint) and (P.proto is ball.proto or P.proto == ball.proto):
+            return ball.ids.get((P.N, P.a, P.b, P.c, P.d))
+        return None
+
+    def __getitem__(self, P):
+        i = self._id(P)
+        if i is None:
+            raise KeyError(P)
+        if not self.neighbours:
+            return i
+        indptr, indices = self.ball.simple_graph().csr
+        return list(map(self.ball.points().__getitem__, indices[indptr[i] : indptr[i + 1]].tolist()))
+
+    def __contains__(self, P) -> bool:
+        return self._id(P) is not None
 
     def __iter__(self) -> Iterator[SurfacePoint]:
-        return iter(self._ball.points())
+        return iter(self.ball.points())
 
     def __len__(self) -> int:
-        return len(self._ball.ids)
+        return len(self.ball.ids)
+
+    def labelled(self) -> tuple[FiniteGraph, PointView]:
+        """The ball's simple graph and its point -> id map, which
+        ``FiniteGraph.from_adjacency`` returns as they are."""
+        return self.ball.simple_graph(), PointView(self.ball)
 
 
 def _flags(P: SurfacePoint) -> int:

@@ -13,16 +13,15 @@ of the sandwich used here.
 A ``FiniteGraph`` holds its edges once, as one CSR array pair (row
 pointers, ascending neighbours) set at construction by one numpy build; its
 edge list is a view read off the CSR, and an orbit ball's simple view is one
-of these graphs (``OrbitGraph.simple_graph``).  A ``GraphView`` reads such a
-graph as an adjacency mapping on labelled vertices (an orbit ball's
-point-keyed view is one), and ``FiniteGraph.from_adjacency`` hands its graph
-and id map back as they are.  ``dirichlet_mu0`` builds the Laplacian
-restricted to the support as CSR, straight from the support's CSR rows.
+of these graphs (``OrbitGraph.simple_graph``), which
+``FiniteGraph.from_adjacency`` hands back as it is from the ball's
+point-keyed view.  ``dirichlet_mu0`` builds the Laplacian restricted to the
+support straight from the support's CSR rows.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
@@ -104,10 +103,12 @@ class FiniteGraph:
     def from_adjacency(cls, adj: Mapping) -> tuple[FiniteGraph, Mapping]:
         """Relabel arbitrary hashable vertices to 0..n-1 in the order of
         ``adj``; returns (graph, id map).  Every neighbour must be a key.  A
-        ``GraphView`` is already labelled: its graph and id map come back as
-        they are."""
-        if isinstance(adj, GraphView):
-            return adj.graph, adj.ids
+        mapping with a ``labelled()`` method, an orbit ball's point-keyed
+        view (``OrbitGraph.simple_adjacency``), is labelled already: the
+        (graph, id map) it returns come back as they are."""
+        labelled = getattr(adj, "labelled", None)
+        if labelled is not None:
+            return labelled()
         ids = dict(zip(adj, range(len(adj))))
         n = len(ids)
         src = np.repeat(np.arange(n), np.fromiter(map(len, adj.values()), dtype=np.int64, count=n))
@@ -143,54 +144,22 @@ class FiniteGraph:
         return max(self.degrees(), default=0)
 
 
-class GraphView(Mapping):
-    """A ``FiniteGraph`` read as an adjacency mapping on labelled vertices,
-    read-only: ``ids`` maps a label to its id, ``labels()`` lists the labels
-    by id, and ``view[v]`` lists v's neighbours, ascending by id.  Iterating
-    or indexing the view builds the label list; ``FiniteGraph.from_adjacency``
-    hands back the graph and ``ids`` without reading it."""
-
-    __slots__ = ("graph", "ids", "_labels")
-
-    def __init__(self, graph: FiniteGraph, ids: Mapping, labels: Callable[[], Sequence]) -> None:
-        self.graph, self.ids, self._labels = graph, ids, labels
-
-    def __getitem__(self, v) -> list:
-        i = self.ids[v]
-        indptr, indices = self.graph.csr
-        return list(map(self._labels().__getitem__, indices[indptr[i] : indptr[i + 1]].tolist()))
-
-    def __iter__(self) -> Iterator:
-        return iter(self._labels())
-
-    def __len__(self) -> int:
-        return self.graph.n
-
-
 def _dirichlet_laplacian(G: FiniteGraph, idx: np.ndarray) -> scipy.sparse.csr_matrix:
     """The Laplacian restricted to the rows and columns ``idx`` (ascending),
-    with degrees taken in the whole graph, built as CSR straight from the
-    support's rows: each row holds its diagonal, then its neighbours inside
-    the support, ascending."""
+    with degrees taken in the whole graph."""
     sp, _ = _scipy()
     indptr, indices = G.csr
     m = idx.size
+    diag = np.arange(m)
     pos = np.full(G.n, -1, dtype=np.int64)
-    pos[idx] = np.arange(m)
+    pos[idx] = diag
     deg = indptr[idx + 1] - indptr[idx]
     cols = pos[indices[_ranges(indptr, idx)]]  # -1 for neighbours outside
     inside = cols >= 0
-    rows = np.repeat(np.arange(m), deg)[inside]
-    row_ptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=m) + 1, out=row_ptr[1:])
-    diag = row_ptr[:-1]
-    # an inside neighbour follows the diagonals of its own row and every row before
-    off = np.arange(rows.size) + rows + 1
-    col_ids = np.empty(row_ptr[-1], dtype=np.int64)
-    data = np.empty(row_ptr[-1])
-    col_ids[diag], data[diag] = np.arange(m), deg
-    col_ids[off], data[off] = cols[inside], -1.0
-    return sp.csr_matrix((data, col_ids, row_ptr), shape=(m, m))
+    rows = np.concatenate([diag, np.repeat(diag, deg)[inside]])
+    cols = np.concatenate([diag, cols[inside]])
+    data = np.concatenate([deg.astype(float), -np.ones(rows.size - m)])
+    return sp.coo_matrix((data, (rows, cols)), shape=(m, m)).tocsr()
 
 
 def dirichlet_mu0(G: FiniteGraph, support: set[int], dense_cutoff: int = 128) -> float:

@@ -1,3 +1,4 @@
+import copy
 import importlib
 import random
 from bisect import bisect_left
@@ -203,7 +204,7 @@ def _assert_flags_match_points(ball):
 
 def _assert_simple_graph_matches_adjacency(ball):
     # a plain copy of the point-keyed view, relabelled, is the cached simple
-    # view on the ids, so the view lists each vertex's neighbours once, in
+    # view on the ids, and the view lists each vertex's neighbours once, in
     # ascending id order
     G = ball.simple_graph()
     adj = ball.simple_adjacency()
@@ -213,15 +214,20 @@ def _assert_simple_graph_matches_adjacency(ball):
     assert list(copy_ids.values()) == list(range(ball.order()))
     # the view hands back that graph and its id map as they are
     graph, ids = FiniteGraph.from_adjacency(adj)
-    assert graph is G and ids is adj.ids
+    assert graph is G
+    assert all([ids[v] for v in nbrs] == sorted(ids[v] for v in nbrs) for nbrs in adj.values())
     points = ball.points()
     assert len(ids) == len(adj) == ball.order() and list(ids) == list(adj) == points
     assert all(ids[P] == i for i, P in enumerate(points))
-    # a numerator tuple, an id and a point with the root's numerators on
-    # another prototype are no keys
+    # a point on an equal copy of the prototype is a key, as it is equal
     root = ball.root
     key = (root.N, root.a, root.b, root.c, root.d)
-    other = next(p for p in map(prototype, *zip(*ALL_SURFACES)) if p is not ball.proto)
+    twin = SurfacePoint._from_checked(copy.copy(ball.proto), key)
+    assert twin == root and twin.proto is not ball.proto
+    assert ids[twin] == 0 and twin in ids and adj[twin] == adj[root]
+    # a numerator tuple, an id and a point with the root's numerators on
+    # another prototype are no keys
+    other = next(p for p in map(prototype, *zip(*ALL_SURFACES)) if p != ball.proto)
     for stranger in (key, 0, SurfacePoint._from_checked(other, key)):
         for mapping in (ids, adj):
             with pytest.raises(KeyError):

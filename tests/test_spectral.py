@@ -424,10 +424,10 @@ def test_restricted_laplacian_is_the_dense_one_restricted():
         want = dense_laplacian(G)[np.ix_(idx, idx)]
         assert isinstance(got, scipy.sparse.csr_matrix) and got.shape == want.shape
         assert np.array_equal(got.toarray(), want)
-        # each row: its diagonal, then its inside neighbours once, ascending
+        # each row lists its diagonal and its inside neighbours once, ascending
         for r in range(idx.size):
             cols = got.indices[got.indptr[r] : got.indptr[r + 1]].tolist()
-            assert cols[0] == r and cols[1:] == sorted(set(cols[1:]) - {r})
+            assert cols == sorted(set(cols)) and r in cols
     # the tree, looped and single-step ball supports have neighbours outside
     for G, support in cases[:3]:
         adj = G.adjacency()
