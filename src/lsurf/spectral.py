@@ -15,8 +15,12 @@ pointers, ascending neighbours) set at construction by one numpy build; its
 edge list is a view read off the CSR, and an orbit ball's simple view is one
 of these graphs (``OrbitGraph.simple_graph``), which
 ``FiniteGraph.from_adjacency`` hands back as it is from the ball's
-point-keyed view.  ``dirichlet_mu0`` builds the Laplacian restricted to the
-support straight from the support's CSR rows.
+point-keyed view.  ``dirichlet_mu0`` reads the support's CSR rows once.
+When the support's layers by distance to its boundary are an equitable
+partition, as on the tree and root-looped balls, mu0 is the bottom of their
+small tridiagonal quotient matrix, found with numpy alone; every other
+support goes to the restricted Laplacian, built from the same rows, and a
+dense or ARPACK eigensolve.
 """
 
 from __future__ import annotations
@@ -40,7 +44,9 @@ def _scipy():
 
 
 class SpectralConvergenceError(RuntimeError):
-    """Eigensolver failed to converge; .residual holds the reported residual."""
+    """Eigensolver failed to converge; .residual holds the largest
+    ||L v - lambda v|| over the pairs it returned, or None if it returned
+    none."""
 
     def __init__(self, message: str, residual: float | None = None) -> None:
         super().__init__(message)
@@ -144,22 +150,71 @@ class FiniteGraph:
         return max(self.degrees(), default=0)
 
 
-def _dirichlet_laplacian(G: FiniteGraph, idx: np.ndarray) -> scipy.sparse.csr_matrix:
-    """The Laplacian restricted to the rows and columns ``idx`` (ascending),
-    with degrees taken in the whole graph."""
-    sp, _ = _scipy()
+def _support_rows(G: FiniteGraph, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR rows of the support ``idx`` (ascending ids), read once: each
+    support vertex's degree in the whole graph, and the (row, column)
+    positions in the support of its neighbours inside, row after row."""
     indptr, indices = G.csr
-    m = idx.size
-    diag = np.arange(m)
     pos = np.full(G.n, -1, dtype=np.int64)
-    pos[idx] = diag
+    pos[idx] = np.arange(idx.size)
     deg = indptr[idx + 1] - indptr[idx]
     cols = pos[indices[_ranges(indptr, idx)]]  # -1 for neighbours outside
     inside = cols >= 0
-    rows = np.concatenate([diag, np.repeat(diag, deg)[inside]])
-    cols = np.concatenate([diag, cols[inside]])
-    data = np.concatenate([deg.astype(float), -np.ones(rows.size - m)])
+    return deg, np.repeat(np.arange(idx.size), deg)[inside], cols[inside]
+
+
+def _dirichlet_laplacian(deg: np.ndarray, src: np.ndarray, dst: np.ndarray) -> scipy.sparse.csr_matrix:
+    """The Laplacian restricted to a support, from its ``_support_rows``:
+    full degrees on the diagonal, -1 at each inside neighbour pair."""
+    sp, _ = _scipy()
+    m = deg.size
+    diag = np.arange(m)
+    data = np.concatenate([deg.astype(float), -np.ones(src.size)])
+    rows, cols = np.concatenate([diag, src]), np.concatenate([diag, dst])
     return sp.coo_matrix((data, (rows, cols)), shape=(m, m)).tocsr()
+
+
+def _layer_quotient_mu0(deg: np.ndarray, src: np.ndarray, dst: np.ndarray) -> float | None:
+    """mu0 of a support from its ``_support_rows`` through its layers, or
+    None when the layers are not an equitable partition.
+
+    Layer 0 is the boundary, the vertices with a neighbour outside; layer t
+    is at distance t from it inside the support.  The partition is
+    equitable when all vertices of a layer t have the same full degree and
+    the same numbers down_t, same_t, up_t of neighbours in layers t - 1, t
+    and t + 1.  Then mu0 is the bottom eigenvalue of the tridiagonal matrix
+    with diagonal deg_t - same_t and off-diagonal -sqrt(up_t * down_{t+1}):
+    its positive Perron vector lifts to a positive eigenvector of the
+    restricted Laplacian, and in each component of the support only the
+    bottom eigenvalue has a positive eigenvector.  The decision reads
+    integer counts only.  A support with no boundary vertex, or with a
+    vertex no layer reaches, returns None.
+    """
+    m = deg.size
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=m), out=indptr[1:])
+    layer = np.full(m, -1, dtype=np.int64)
+    front = np.flatnonzero(deg > np.diff(indptr))
+    firsts = []  # one vertex of each layer
+    while front.size:
+        layer[front] = len(firsts)
+        firsts.append(front[0])
+        nbrs = dst[_ranges(indptr, front)]
+        fresh = np.zeros(m, dtype=bool)
+        fresh[nbrs[layer[nbrs] < 0]] = True
+        front = np.flatnonzero(fresh)
+    if not firsts or layer.min() < 0:
+        return None
+    # per vertex: full degree, then neighbours one layer down, same, one up
+    steps = np.bincount(src * 3 + layer[dst] - layer[src] + 1, minlength=3 * m).reshape(m, 3)
+    counts = np.column_stack([deg, steps])
+    per_layer = counts[firsts]
+    if (counts != per_layer[layer]).any():
+        return None
+    deg_t, down, same, up = per_layer.T
+    off = -np.sqrt((up[:-1] * down[1:]).astype(float))
+    T = np.diag((deg_t - same).astype(float)) + np.diag(off, 1) + np.diag(off, -1)
+    return float(np.linalg.eigvalsh(T)[0])
 
 
 def dirichlet_mu0(G: FiniteGraph, support: set[int], dense_cutoff: int = 128) -> float:
@@ -167,24 +222,36 @@ def dirichlet_mu0(G: FiniteGraph, support: set[int], dense_cutoff: int = 128) ->
 
     Equals the smallest eigenvalue of the Laplacian restricted to the support
     rows and columns (degrees taken in the full graph); decreasing in the
-    support by inclusion.  The restricted matrix is built straight from the
-    CSR rows of the support, never as the full matrix.
+    support by inclusion.  The support's CSR rows are read once, never the
+    full matrix.
 
-    Supports of up to ``dense_cutoff`` vertices use dense ``eigvalsh``, larger
-    ones ARPACK ``eigsh``.  The cutoff is the measured crossover: with one
-    BLAS thread, best of 5 on tree and root-looped supports of 81, 161, 243
-    and 485 vertices, dense took 0.31, 1.01, 2.1 and 12.7 ms and ARPACK
-    0.58, 0.65, 0.63 and 0.63 ms, agreeing to within 4e-15.
+    When the support's layers by distance to its boundary are an equitable
+    partition, as on tree and root-looped balls and the orbit balls of those
+    shapes, mu0 is the bottom of their small tridiagonal quotient matrix
+    (``_layer_quotient_mu0``), with numpy alone.  Every other support, and
+    one with no boundary vertex such as a whole finite graph, goes to the
+    general solver on the restricted matrix: up to ``dense_cutoff``
+    vertices dense ``eigvalsh``, above it ARPACK ``eigsh``.  The cutoff is
+    the measured crossover: with one BLAS thread, best of 5 on supports
+    that are not layer-equitable (balls of the single-step L8 graph, with
+    cycles, and balls beside the root of a root-looped tree) of 45, 133,
+    135, 380, 405 and 1,076 vertices, dense took 0.23, 0.73, 0.67, 5.9,
+    7.3 and 111 ms and ARPACK 0.61, 1.69, 0.67, 2.8, 0.82 and 6.0 ms,
+    agreeing to within 7.1e-15.
     """
     if not support:
         raise ValueError("support must be nonempty")
-    idx = np.array(sorted(support), dtype=np.int64)
-    if idx[0] < 0 or idx[-1] >= G.n:
-        bad = [v for v in idx.tolist() if not 0 <= v < G.n]
-        raise ValueError(f"support vertices {bad} are not ids of the {G.n}-vertex graph")
+    ordered = sorted(support) if {*map(type, support)} == {int} else None  # a bool or a float is no id
+    if ordered is None or ordered[0] < 0 or ordered[-1] >= G.n:
+        bad = [v for v in ordered or support if type(v) is not int or not 0 <= v < G.n]
+        raise ValueError(f"support vertices {bad[:5]} are not ids of the {G.n}-vertex graph")
+    rows = _support_rows(G, np.array(ordered, dtype=np.int64))
+    mu0 = _layer_quotient_mu0(*rows)
+    if mu0 is not None:
+        return mu0
     _, spla = _scipy()
-    L = _dirichlet_laplacian(G, idx)
-    m = len(idx)
+    L = _dirichlet_laplacian(*rows)
+    m = len(ordered)
     if m == 1:
         return float(L[0, 0])
     if m <= dense_cutoff:
@@ -193,7 +260,9 @@ def dirichlet_mu0(G: FiniteGraph, support: set[int], dense_cutoff: int = 128) ->
     try:
         vals = spla.eigsh(L, k=1, which="SA", v0=v0, maxiter=20000, tol=0)[0]
     except spla.ArpackNoConvergence as exc:
-        residual = float(np.linalg.norm(exc.eigenvalues)) if exc.eigenvalues.size else None
+        lam, vecs = exc.eigenvalues, exc.eigenvectors
+        # the largest ||L v - lambda v|| over the pairs that did converge
+        residual = float(np.linalg.norm(L @ vecs - vecs * lam, axis=0).max()) if lam.size else None
         raise SpectralConvergenceError("eigensolver did not converge", residual) from exc
     return float(vals[0])
 

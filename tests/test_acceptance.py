@@ -52,7 +52,7 @@ from lsurf.schreier import (
 )
 from lsurf.spectral import FiniteGraph, dirichlet_mu0, graph_ball
 from lsurf.surface import apply_word, n_value, prototype, s_value
-from test_spectral import inner, laplacian_apply, quadratic_form
+from test_spectral import general_mu0, inner, laplacian_apply, quadratic_form
 
 TABLE_CN = [1, 5, 1, 8, 1, 5, 3, 8, 1, 5, 1, 8, 1, 15, 1, 8, 3, 5, 1, 8, 3, 5, 3, 8, 1, 5, 1, 24]
 TREE_LIMIT = 4 - 2 * math.sqrt(3)
@@ -226,11 +226,13 @@ def test_c6a_spectral_sandwich():
 def test_c6b_radius7_within_tolerance_of_tree_limit():
     with criterion(
         "c6b",
-        "tree-ball Dirichlet values at radius 1..7 (dense and sparse solver) match the "
-        "radial oracle to 1e-9; oracle strictly decreasing and above 4-2*sqrt(3) on "
-        "radius 1..40, within 0.05 of it at radius 16 and not at radius 15",
+        "tree-ball Dirichlet values at radius 1..7 (layer quotient, and dense and sparse "
+        "solver) match the radial oracle to 1e-9; oracle strictly decreasing and above "
+        "4-2*sqrt(3) on radius 1..40, within 0.05 of it at radius 16 and not at radius 15",
     ) as details:
-        # (a) the program against the oracle, on both solver branches
+        # (a) the program against the oracle: dirichlet_mu0, which takes the
+        # layer quotient on these balls, and the general solver on both sides
+        # of its dense cutoff
         cutoff = inspect.signature(dirichlet_mu0).parameters["dense_cutoff"].default
         sizes, mu0 = [], {}
         for r in range(1, 8):
@@ -238,6 +240,8 @@ def test_c6b_radius7_within_tolerance_of_tree_limit():
             sizes.append(len(support))
             mu0[r], want = dirichlet_mu0(G, support), _radial_tree_mu0(r)
             assert abs(mu0[r] - want) < 1e-9, f"radius {r}: dirichlet_mu0 {mu0[r]!r}, oracle {want!r}"
+            general = general_mu0(G, support)
+            assert abs(general - want) < 1e-9, f"radius {r}: general solver {general!r}, oracle {want!r}"
         assert min(sizes) <= cutoff < max(sizes), (sizes, cutoff)
         # (b) the oracle curve decreases towards the limit from above
         curve = {r: _radial_tree_mu0(r) for r in range(1, 41)}

@@ -278,7 +278,10 @@ def test_closed_stdout_exits_quietly():
 
 def test_scipy_is_imported_by_the_first_eigensolve():
     # importing lsurf, reducing a point and building and classifying a
-    # pruned ball, whose simple view is a spectral graph, must not pay for scipy
+    # pruned ball, whose simple view is a spectral graph, must not pay for
+    # scipy; nor does a Dirichlet bottom from the layer quotient (a vertex
+    # with a neighbour outside), only one from the general solver (a whole
+    # graph, which has no boundary)
     script = (
         "import sys, lsurf\n"
         "from lsurf.cli import main\n"
@@ -288,6 +291,8 @@ def test_scipy_is_imported_by_the_first_eigensolve():
         "assert 'scipy' not in sys.modules, 'scipy imported before any eigensolve'\n"
         "from lsurf.spectral import FiniteGraph, dirichlet_mu0\n"
         "assert dirichlet_mu0(FiniteGraph.from_edges(2, [(0, 1)]), {0}) == 1.0\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported by the layer quotient'\n"
+        "assert abs(dirichlet_mu0(FiniteGraph.from_edges(3, [(0, 1), (1, 2)]), {0, 1, 2})) < 1e-12\n"
         "assert 'scipy.sparse.linalg' in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(lsurf.__file__).parents[1]))

@@ -2,7 +2,9 @@
 bytes and returning the same exit codes.
 
 Each case runs ``lsurf.cli.main`` in-process and hashes its stdout (for the
-DOT case, the written DOT file) together with the exit code.  The digests
+DOT case, the written DOT file) together with the exit code.  A ``spectral``
+case first exports its ball with ``explore --json`` and hashes the output
+of ``spectral`` on that file.  The digests
 were computed once from a reference run and are never re-derived from the
 code under test.
 """
@@ -34,6 +36,14 @@ for _s in SURFACES:
 CASES["explore cycles L8"] = ["explore", "--point", POINT, "--radius", "6"]
 for _s in ("L5-1", "L17+1"):
     CASES[f"classify r5 {_s}"] = ["classify", "--surface", _s, "--point", POINT, "--radius", "5"]
+# the G2 support is layer-symmetric (the quotient path of dirichlet_mu0), the
+# single-step one is not (the general solver)
+SPECTRAL = {
+    "spectral g2 L8": (CASES["g2-json L8"], "2"),
+    "spectral cycles L8": (CASES["explore cycles L8"], "5"),
+}
+for _name, (_export, _radius) in SPECTRAL.items():
+    CASES[_name] = ["spectral", "--graph", "{json}", "--support-radius", _radius]
 
 GOLDEN = {
     "classify L12": "864d63700c33c8afa5a45c2ebcac284395447e55b4289e5bf02253379635f2ef",
@@ -60,6 +70,8 @@ GOLDEN = {
     "g2-json L5-1": "27f949b99c98acb05d23c49c5c61818d6570e3f5637f21dc56556201c0fe7c87",
     "g2-json L8": "bbaf702b83698f2e4da7a4e9482377cd9d2952fa85f7f54bda1924ea1ee96b2c",
     "reduce": "ed1adde08a13c5f6cf946fa7d5b7cff45f1c98552939820c2fe24f62b02b9ef5",
+    "spectral cycles L8": "0de2d31e9938c427e3c49ae90082473974e00e979d178b95df2233a38ab44b45",
+    "spectral g2 L8": "e0aeb4b835c927f7486d22322e5b4466a787f2dea83cd36191997ce431a4f1da",
     "table-cn": "c74577934c143ac8134f933b7b401864b845172f7bb94ebb21cd2f75bd7f499e",
     "verify-lemmas L12": "c25d4060aac03254a78d04e42d9e77b389b930208235be9858f2b08c503982b0",
     "verify-lemmas L13-1": "d277fb5696f29196df4fa21aa54421921a759dbd080a4358078074830049df8a",
@@ -73,6 +85,9 @@ GOLDEN = {
 def cli_digest(name, tmp_path):
     """sha256 over the exit code and the case's artifact text."""
     dot = tmp_path / "ball.dot"
+    if name in SPECTRAL:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(SPECTRAL[name][0] + ["--json", str(tmp_path / "ball.json")]) == 0
     argv = [a.format(dot=dot, json=tmp_path / "ball.json") for a in CASES[name]]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

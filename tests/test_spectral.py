@@ -7,7 +7,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
+from lsurf import parse_point, spectral
 from lsurf.sampling import (
     sample_a_periodic_point,
     sample_b_periodic_point,
@@ -24,7 +26,9 @@ from lsurf.schreier import (
 )
 from lsurf.spectral import (
     FiniteGraph,
+    SpectralConvergenceError,
     _dirichlet_laplacian,
+    _support_rows,
     cheeger_min_over_subsets,
     cheeger_sandwich_check,
     dirichlet_mu0,
@@ -34,6 +38,7 @@ from lsurf.spectral import (
 from lsurf.surface import SurfacePoint, prototype
 
 TREE_LIMIT = 4 - 2 * math.sqrt(3)
+LAYER_QUOTIENT = spectral._layer_quotient_mu0
 
 
 def tree_ball_graph(radius):
@@ -48,6 +53,33 @@ def root_looped_graph(radius):
     G, ids = FiniteGraph.from_adjacency(adj)
     support = graph_ball(G, ids[root], radius)
     return G, support
+
+
+def restricted_laplacian(G, support):
+    """The program's sparse Laplacian restricted to the support."""
+    return _dirichlet_laplacian(*_support_rows(G, np.array(sorted(support), dtype=np.int64)))
+
+
+def general_mu0(G, support, **kwargs):
+    """dirichlet_mu0 with the layer quotient switched off: the dense or
+    ARPACK solve on the restricted matrix, the quotient's oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_layer_quotient_mu0", lambda *rows: None)
+        return dirichlet_mu0(G, support, **kwargs)
+
+
+def mu0_and_path(G, support):
+    """(dirichlet_mu0, whether the layer quotient gave it)."""
+    answers = []
+
+    def spy(*rows):
+        answers.append(LAYER_QUOTIENT(*rows))
+        return answers[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_layer_quotient_mu0", spy)
+        mu0 = dirichlet_mu0(G, support)
+    return mu0, answers[0] is not None
 
 
 def path_graph(n):
@@ -68,7 +100,7 @@ def is_connected(G):
 
 def laplacian_apply(G, b):
     """The sparse Laplacian's entries, checked integral, applied exactly to b."""
-    L = _dirichlet_laplacian(G, np.arange(G.n)).tocoo()
+    L = restricted_laplacian(G, range(G.n)).tocoo()
     out = [F(0)] * G.n
     for i, j, x in zip(L.row, L.col, L.data):
         assert x == int(x)
@@ -181,14 +213,17 @@ def test_radial_looped_oracle_values():
 
 
 def test_radial_oracles_on_both_solver_branches():
+    # the layer quotient, which these balls take, and the general solver:
     # ARPACK at every radius, dense eigvalsh up to 1,000 support vertices
     # (tree radius 5, root-looped radius 6)
     cases = ((tree_ball_graph, radial_tree_mu0), (root_looped_graph, radial_looped_mu0))
     for radius in range(1, 8):
         for graph, oracle in cases:
             G, support = graph(radius)
+            got, by_quotient = mu0_and_path(G, support)
+            assert by_quotient and abs(got - oracle(radius)) < 1e-9, (graph.__name__, radius, got)
             for cutoff in (1, 10**6) if len(support) <= 1000 else (1,):
-                got = dirichlet_mu0(G, support, dense_cutoff=cutoff)
+                got = general_mu0(G, support, dense_cutoff=cutoff)
                 assert abs(got - oracle(radius)) < 1e-9, (graph.__name__, radius, cutoff, got)
 
 
@@ -232,13 +267,129 @@ def test_tree_ball_values_decrease_toward_limit():
 
 def test_sparse_and_dense_paths_agree():
     # the 485 and 243 vertex supports are those of radius-6 tree and
-    # root-looped orbit balls, which the default cutoff sends to ARPACK
+    # root-looped orbit balls, which the default cutoff would send to ARPACK
     cases = {161: tree_ball_graph(4), 485: tree_ball_graph(5), 243: root_looped_graph(5)}
     for size, (G, support) in cases.items():
         assert len(support) == size
-        dense = dirichlet_mu0(G, support, dense_cutoff=10**6)
-        sparse = dirichlet_mu0(G, support, dense_cutoff=1)
+        dense = general_mu0(G, support, dense_cutoff=10**6)
+        sparse = general_mu0(G, support, dense_cutoff=1)
         assert dense == pytest.approx(sparse, abs=1e-8)
+
+
+# -- the layer quotient against the general solver ------------------------------------
+
+
+def oracle_layers_equitable(G, support):
+    """Whether the layers of the support by distance to its boundary are an
+    equitable partition, by a plain-Python BFS over the adjacency sets."""
+    adj = G.adjacency()
+    front = [v for v in support if adj[v] - support]
+    layer = dict.fromkeys(front, 0)
+    depth = 0
+    while front:
+        depth += 1
+        front = list(dict.fromkeys(u for v in front for u in adj[v] & support if u not in layer))
+        layer.update(dict.fromkeys(front, depth))
+    if not layer or len(layer) < len(support):
+        return False
+    per_layer = {}
+    for v in support:
+        inside = [layer[u] - layer[v] for u in adj[v] & support]
+        key = (len(adj[v]), inside.count(-1), inside.count(0), inside.count(1))
+        if per_layer.setdefault(layer[v], key) != key:
+            return False
+    return True
+
+
+def single_step_ball(radius):
+    """The simple view of the L8 single-step ball, with cycles, from a doubly
+    non-periodic point."""
+    P = SurfacePoint.from_fractions(prototype(8, 0), F(1, 5), F(1, 5), F(2, 5), F(1, 5))
+    return expand_ball(P, [("A", 1), ("A", -1), ("B", 1), ("B", -1)], radius).simple_graph()
+
+
+def layer_cases():
+    """(name, graph, support, whether its layers are equitable)."""
+    cases = []
+    for radius in range(1, 8):
+        cases.append((f"tree r={radius}", *tree_ball_graph(radius), True))
+        cases.append((f"root-looped r={radius}", *root_looped_graph(radius), True))
+    for D, eps in ((8, 0), (5, -1), (17, 1)):
+        proto = prototype(D, eps)
+        rng = random.Random(f"layer-quotient:{proto.name}")
+        for P in (
+            sample_a_periodic_point(proto, rng.randint(1, 3), rng, b_periodic=False),
+            sample_nonperiodic_point(proto, rng.randint(1, 3), rng, box=40),
+        ):
+            ball = build_G2(P, radius=6)
+            shape = classify_component(ball)
+            assert shape.kind == TREE4 or shape.loop_vertex is ball.root, (proto.name, shape)
+            G, ids = FiniteGraph.from_adjacency(ball.simple_adjacency())
+            cases.append((f"G2 {proto.name} {shape.kind}", G, graph_ball(G, ids[ball.root], 5), True))
+    single = single_step_ball(6)
+    cases.append(("one vertex with neighbours outside", single, {7}, True))
+    # a doubly non-periodic L17+1 start whose radius-4 ball has its loop at
+    # distance 2 from the root
+    ball = build_G2(parse_point(prototype(17, 1), "-22,9,-5,2"), radius=4)
+    assert classify_component(ball).loop_vertex is not ball.root
+    loop_away, ids = FiniteGraph.from_adjacency(ball.simple_adjacency())
+    adj, root, _ = build_root_looped_tree(5)
+    looped, looped_ids = FiniteGraph.from_adjacency(adj)
+    beside_root = min(looped.adjacency()[looped_ids[root]])
+    tree, _ = tree_ball_graph(3)
+    depth_3 = min(graph_ball(tree, 0, 3) - graph_ball(tree, 0, 2))
+    whole, _ = root_looped_graph(3)
+    # the path 0 - 1 - 2 - 3 and the triangle 4 5 6, which no layer reaches
+    path_and_triangle = FiniteGraph.from_edges(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6)])
+    cases += [
+        ("loop away from the root", loop_away, graph_ball(loop_away, ids[ball.root], 3), False),
+        ("single-step ball with cycles", single, graph_ball(single, 0, 5), False),
+        ("off-centre ball", looped, graph_ball(looped, beside_root, 2), False),
+        ("disconnected", tree, graph_ball(tree, 0, 1) | {depth_3}, False),
+        ("isolated vertex", FiniteGraph.from_edges(3, [(0, 1)]), {2}, False),
+        ("closed component", path_and_triangle, {1, 2, 4, 5, 6}, False),
+        ("whole graph", whole, set(range(whole.n)), False),
+    ]
+    return cases
+
+
+def test_layer_quotient_runs_exactly_on_equitable_supports():
+    for name, G, support, equitable in layer_cases():
+        assert oracle_layers_equitable(G, support) is equitable, name
+        mu0, by_quotient = mu0_and_path(G, support)
+        assert by_quotient is equitable, name
+        solvers = [general_mu0(G, support)]
+        if equitable and len(support) <= 1000:
+            solvers += [general_mu0(G, support, dense_cutoff=cutoff) for cutoff in (1, 10**6)]
+        for general in solvers:
+            assert abs(mu0 - general) < 1e-12, (name, mu0, general)
+
+
+def test_dirichlet_mu0_rejects_ids_that_are_not_ints():
+    # a cast to int64 would read 1.5 and "1" as vertex 1, and True as 1
+    G = path_graph(4)
+    for support in ({1.5, 2}, {"1"}, {True, 2}):
+        with pytest.raises(ValueError, match="are not ids of the 4-vertex graph"):
+            dirichlet_mu0(G, support)
+
+
+def test_convergence_error_carries_the_residual_of_the_returned_pair(monkeypatch):
+    # 0 - 1 - 2 - 3 - 4 and a leaf 5 on 1: the support {1, 2, 3} has boundary
+    # vertices of degree 3 and 2, so its layers are not equitable, and a
+    # cutoff of 1 sends its restricted Laplacian [[3,-1,0],[-1,2,-1],[0,-1,2]]
+    # to ARPACK
+    G = FiniteGraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)])
+    one = (np.array([1.0]), np.eye(3)[:, :1])  # ||(3,-1,0) - (1,0,0)|| = sqrt(5)
+    none = (np.empty(0), np.empty((3, 0)))
+    for pair, want in ((one, math.sqrt(5)), (none, None)):
+
+        def no_convergence(*args, pair=pair, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", *pair)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        with pytest.raises(SpectralConvergenceError) as info:
+            dirichlet_mu0(G, {1, 2, 3}, dense_cutoff=1)
+        assert info.value.residual == (pytest.approx(want, abs=1e-12) if want else None)
 
 
 # -- Cheeger sandwich ---------------------------------------------------------------
@@ -387,7 +538,7 @@ def assert_csr_matches_oracles(adj, root_radii, supports):
             assert graph_ball(graph, root, radius) == oracle_graph_ball(nbrs, root, radius)
         for support in supports:
             L = oracle_dirichlet_laplacian(n, edges, support)
-            got = _dirichlet_laplacian(graph, np.array(sorted(support))).toarray()
+            got = restricted_laplacian(graph, support).toarray()
             assert np.array_equal(got, L)
             assert abs(dirichlet_mu0(graph, support) - np.linalg.eigvalsh(L)[0]) < 1e-12
 
@@ -420,7 +571,7 @@ def test_restricted_laplacian_is_the_dense_one_restricted():
     ]
     for G, support in cases:
         idx = np.array(sorted(support))
-        got = _dirichlet_laplacian(G, idx)
+        got = restricted_laplacian(G, support)
         want = dense_laplacian(G)[np.ix_(idx, idx)]
         assert isinstance(got, scipy.sparse.csr_matrix) and got.shape == want.shape
         assert np.array_equal(got.toarray(), want)
