@@ -18,9 +18,11 @@ of these graphs (``OrbitGraph.simple_graph``), which
 point-keyed view.  ``dirichlet_mu0`` reads the support's CSR rows once.
 When the support's layers by distance to its boundary are an equitable
 partition, as on the tree and root-looped balls, mu0 is the bottom of their
-small tridiagonal quotient matrix, found with numpy alone; every other
+small tridiagonal quotient matrix, found with numpy alone; a support with a
+vertex that the boundary does not reach has mu0 = 0 exactly; every other
 support goes to the restricted Laplacian, built from the same rows, and a
-dense or ARPACK eigensolve.
+dense numpy eigensolve, or above the dense cutoff an ARPACK one, the only
+code that imports scipy.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ import numpy as np
 
 def _scipy():
     """scipy.sparse and scipy.sparse.linalg, imported together on the first
-    call that builds a matrix: importing them costs about 0.3 s and 30 MB,
-    which commands that solve no eigenproblem should not pay."""
+    ARPACK solve: importing them after ``import lsurf`` costs 0.20-0.26 s and
+    30.1 MB of RSS, which commands and supports that need no ARPACK solve
+    should not pay.  This is the library's only scipy import."""
     import scipy.sparse
     import scipy.sparse.linalg
 
@@ -163,9 +166,18 @@ def _support_rows(G: FiniteGraph, idx: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return deg, np.repeat(np.arange(idx.size), deg)[inside], cols[inside]
 
 
+def _dense_dirichlet_laplacian(deg: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The Laplacian restricted to a support, from its ``_support_rows``, as
+    a dense numpy array: full degrees on the diagonal, -1 at each inside
+    neighbour pair (a simple graph has each pair once)."""
+    L = np.diag(deg.astype(float))
+    L[src, dst] = -1.0
+    return L
+
+
 def _dirichlet_laplacian(deg: np.ndarray, src: np.ndarray, dst: np.ndarray) -> scipy.sparse.csr_matrix:
-    """The Laplacian restricted to a support, from its ``_support_rows``:
-    full degrees on the diagonal, -1 at each inside neighbour pair."""
+    """The Laplacian restricted to a support, from its ``_support_rows``, as
+    a scipy CSR matrix: the same entries as ``_dense_dirichlet_laplacian``."""
     sp, _ = _scipy()
     m = deg.size
     diag = np.arange(m)
@@ -187,8 +199,14 @@ def _layer_quotient_mu0(deg: np.ndarray, src: np.ndarray, dst: np.ndarray) -> fl
     its positive Perron vector lifts to a positive eigenvector of the
     restricted Laplacian, and in each component of the support only the
     bottom eigenvalue has a positive eigenvector.  The decision reads
-    integer counts only.  A support with no boundary vertex, or with a
-    vertex no layer reaches, returns None.
+    integer counts only.
+
+    A support with a vertex that no layer reaches, one with no boundary
+    vertex at all included, returns exactly 0.0 without a solve: that
+    vertex's component in the support has no neighbour outside it, so it is
+    a whole component of the graph, its indicator vanishes outside the
+    support with Rayleigh quotient 0, and the restricted Laplacian is
+    positive semi-definite.
     """
     m = deg.size
     indptr = np.zeros(m + 1, dtype=np.int64)
@@ -203,8 +221,8 @@ def _layer_quotient_mu0(deg: np.ndarray, src: np.ndarray, dst: np.ndarray) -> fl
         fresh = np.zeros(m, dtype=bool)
         fresh[nbrs[layer[nbrs] < 0]] = True
         front = np.flatnonzero(fresh)
-    if not firsts or layer.min() < 0:
-        return None
+    if layer.min() < 0:
+        return 0.0
     # per vertex: full degree, then neighbours one layer down, same, one up
     steps = np.bincount(src * 3 + layer[dst] - layer[src] + 1, minlength=3 * m).reshape(m, 3)
     counts = np.column_stack([deg, steps])
@@ -223,39 +241,48 @@ def dirichlet_mu0(G: FiniteGraph, support: set[int], dense_cutoff: int = 128) ->
     Equals the smallest eigenvalue of the Laplacian restricted to the support
     rows and columns (degrees taken in the full graph); decreasing in the
     support by inclusion.  The support's CSR rows are read once, never the
-    full matrix.
+    full matrix.  Four ways, tried in this order, answer:
 
-    When the support's layers by distance to its boundary are an equitable
-    partition, as on tree and root-looped balls and the orbit balls of those
-    shapes, mu0 is the bottom of their small tridiagonal quotient matrix
-    (``_layer_quotient_mu0``), with numpy alone.  Every other support, and
-    one with no boundary vertex such as a whole finite graph, goes to the
-    general solver on the restricted matrix: up to ``dense_cutoff``
-    vertices dense ``eigvalsh``, above it ARPACK ``eigsh``.  The cutoff is
-    the measured crossover: with one BLAS thread, best of 5 on supports
-    that are not layer-equitable (balls of the single-step L8 graph, with
-    cycles, and balls beside the root of a root-looped tree) of 45, 133,
-    135, 380, 405 and 1,076 vertices, dense took 0.23, 0.73, 0.67, 5.9,
-    7.3 and 111 ms and ARPACK 0.61, 1.69, 0.67, 2.8, 0.82 and 6.0 ms,
-    agreeing to within 7.1e-15.
+    - the layer quotient (``_layer_quotient_mu0``, numpy alone): when the
+      support's layers by distance to its boundary are an equitable
+      partition, as on tree and root-looped balls and the orbit balls of
+      those shapes, mu0 is the bottom of their small tridiagonal matrix;
+    - exactly 0.0, from the same layer search, when a support vertex cannot
+      be reached from the boundary inside the support (its component is a
+      whole component of the graph, such as a whole finite graph);
+    - up to ``dense_cutoff`` vertices, ``np.linalg.eigvalsh`` on the
+      restricted matrix built as a dense numpy array;
+    - above it, ARPACK ``eigsh`` on the matrix built as a scipy CSR matrix,
+      the only branch that imports scipy.  Its failures raise
+      ``SpectralConvergenceError``.
+
+    The cutoff is the measured crossover: with one BLAS thread and scipy
+    loaded, best of 7 on supports that are not layer-equitable (balls of the
+    single-step L8 graph, with cycles, and balls beside the root of a
+    root-looped tree) of 45, 133, 135, 380, 405 and 1,076 vertices, dense
+    took 0.29, 0.72, 0.65, 5.7, 7.2 and 111 ms and ARPACK 0.82, 1.90, 0.79,
+    3.5, 1.00 and 5.0 ms, agreeing to within 7.1e-15.
     """
     if not support:
         raise ValueError("support must be nonempty")
-    ordered = sorted(support) if {*map(type, support)} == {int} else None  # a bool or a float is no id
-    if ordered is None or ordered[0] < 0 or ordered[-1] >= G.n:
-        bad = [v for v in ordered or support if type(v) is not int or not 0 <= v < G.n]
+    ids = None
+    if {*map(type, support)} == {int}:  # a bool or a float is no id
+        try:
+            ids = np.sort(np.fromiter(support, dtype=np.int64, count=len(support)))
+        except OverflowError:  # an int past int64
+            pass
+    if ids is None or ids[0] < 0 or ids[-1] >= G.n:
+        bad = [v for v in support if type(v) is not int or not 0 <= v < G.n]
         raise ValueError(f"support vertices {bad[:5]} are not ids of the {G.n}-vertex graph")
-    rows = _support_rows(G, np.array(ordered, dtype=np.int64))
+    rows = _support_rows(G, ids)
     mu0 = _layer_quotient_mu0(*rows)
     if mu0 is not None:
         return mu0
+    m = ids.size
+    if m <= dense_cutoff:
+        return float(np.linalg.eigvalsh(_dense_dirichlet_laplacian(*rows))[0])
     _, spla = _scipy()
     L = _dirichlet_laplacian(*rows)
-    m = len(ordered)
-    if m == 1:
-        return float(L[0, 0])
-    if m <= dense_cutoff:
-        return float(np.linalg.eigvalsh(L.toarray())[0])
     v0 = np.ones(m) / np.sqrt(m)
     try:
         vals = spla.eigsh(L, k=1, which="SA", v0=v0, maxiter=20000, tol=0)[0]
@@ -264,6 +291,8 @@ def dirichlet_mu0(G: FiniteGraph, support: set[int], dense_cutoff: int = 128) ->
         # the largest ||L v - lambda v|| over the pairs that did converge
         residual = float(np.linalg.norm(L @ vecs - vecs * lam, axis=0).max()) if lam.size else None
         raise SpectralConvergenceError("eigensolver did not converge", residual) from exc
+    except spla.ArpackError as exc:
+        raise SpectralConvergenceError(f"eigensolver failed: {exc}") from exc
     return float(vals[0])
 
 

@@ -76,6 +76,19 @@ def test_explore_and_spectral_pipeline(tmp_path, capsys):
     assert float(payload["dirichlet_mu0"]) > 0
 
 
+def test_spectral_on_a_closed_support_prints_zero(tmp_path, capsys):
+    # the whole radius-4 G2 tree ball: no support vertex has a neighbour
+    # outside, so mu0 is exactly 0, found without an ARPACK solve
+    graph_file = tmp_path / "ball.json"
+    argv = ["explore", "--g2", "--radius", "4", "--point", "1/5,1/5,2/5,1/5", "--json", str(graph_file)]
+    assert run_cli(capsys, *argv)[0] == 0
+    code, out = run_cli(capsys, "spectral", "--graph", str(graph_file), "--support-radius", "4")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["vertices"], payload["support_size"]) == (161, 161)
+    assert payload["dirichlet_mu0"] == "0"
+
+
 def test_classify_cli(capsys):
     code, out = run_cli(capsys, "classify", "--surface", "L8", "--point", "1/3,1/3,1/2,0", "--radius", "2")
     assert code == 0
@@ -276,23 +289,45 @@ def test_closed_stdout_exits_quietly():
     assert err == b""
 
 
-def test_scipy_is_imported_by_the_first_eigensolve():
+def test_scipy_is_imported_by_the_first_arpack_solve():
     # importing lsurf, reducing a point and building and classifying a
     # pruned ball, whose simple view is a spectral graph, must not pay for
-    # scipy; nor does a Dirichlet bottom from the layer quotient (a vertex
-    # with a neighbour outside), only one from the general solver (a whole
-    # graph, which has no boundary)
+    # scipy; nor do Dirichlet bottoms from the layer quotient (a vertex with
+    # a neighbour outside), from the closed-component rule (a whole graph)
+    # or from the dense solve of a support up to the cutoff that is not
+    # layer-equitable (the 5-vertex support of the L17+1 ball whose loop is
+    # away from the root, and a 45-vertex single-step support with a cycle);
+    # only the first ARPACK solve, of a 380-vertex single-step support, does
     script = (
         "import sys, lsurf\n"
+        "import numpy as np\n"
         "from lsurf.cli import main\n"
+        "from lsurf import spectral\n"
+        "from lsurf.spectral import FiniteGraph, dirichlet_mu0, graph_ball\n"
         "assert main(['reduce', '--point', '-141,100,1/2,0']) == 0\n"
         "P = lsurf.parse_point(lsurf.prototype(8, 0), '1/3,1/3,1/2,0')\n"
         "assert lsurf.classify_component(lsurf.build_G2(P, radius=2)).kind == 'RootLooped4'\n"
         "assert 'scipy' not in sys.modules, 'scipy imported before any eigensolve'\n"
-        "from lsurf.spectral import FiniteGraph, dirichlet_mu0\n"
         "assert dirichlet_mu0(FiniteGraph.from_edges(2, [(0, 1)]), {0}) == 1.0\n"
         "assert 'scipy' not in sys.modules, 'scipy imported by the layer quotient'\n"
-        "assert abs(dirichlet_mu0(FiniteGraph.from_edges(3, [(0, 1), (1, 2)]), {0, 1, 2})) < 1e-12\n"
+        "assert dirichlet_mu0(FiniteGraph.from_edges(3, [(0, 1), (1, 2)]), {0, 1, 2}) == 0.0\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported by a closed component'\n"
+        "def general(G, radius, size):\n"
+        "    S = graph_ball(G, 0, radius)\n"
+        "    rows = spectral._support_rows(G, np.array(sorted(S)))\n"
+        "    assert len(S) == size and spectral._layer_quotient_mu0(*rows) is None\n"
+        "    return dirichlet_mu0(G, S), rows[1].size // 2\n"
+        "Q = lsurf.parse_point(lsurf.prototype(17, 1), '2,0,11,-4')\n"
+        "ball = lsurf.build_G2(Q, radius=2)\n"
+        "assert lsurf.classify_component(ball).loop_vertex != ball.root\n"
+        "assert general(ball.simple_graph(), 1, 5)[0] > 0\n"
+        "single = [('A', 1), ('A', -1), ('B', 1), ('B', -1)]\n"
+        "R = lsurf.parse_point(lsurf.prototype(8, 0), '1/5,1/5,2/5,1/5')\n"
+        "G = lsurf.expand_ball(R, single, 6).simple_graph()\n"
+        "mu0, inside_edges = general(G, 3, 45)\n"
+        "assert mu0 > 0 and inside_edges == 45, inside_edges\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported by a dense solve'\n"
+        "assert general(G, 5, 380)[0] > 0\n"
         "assert 'scipy.sparse.linalg' in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(lsurf.__file__).parents[1]))

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import math
@@ -27,6 +28,7 @@ from lsurf.schreier import (
 from lsurf.spectral import (
     FiniteGraph,
     SpectralConvergenceError,
+    _dense_dirichlet_laplacian,
     _dirichlet_laplacian,
     _support_rows,
     cheeger_min_over_subsets,
@@ -55,21 +57,29 @@ def root_looped_graph(radius):
     return G, support
 
 
+def support_rows(G, support):
+    return _support_rows(G, np.array(sorted(support), dtype=np.int64))
+
+
 def restricted_laplacian(G, support):
     """The program's sparse Laplacian restricted to the support."""
-    return _dirichlet_laplacian(*_support_rows(G, np.array(sorted(support), dtype=np.int64)))
+    return _dirichlet_laplacian(*support_rows(G, support))
 
 
 def general_mu0(G, support, **kwargs):
-    """dirichlet_mu0 with the layer quotient switched off: the dense or
-    ARPACK solve on the restricted matrix, the quotient's oracle."""
+    """dirichlet_mu0 with the layer search switched off (the quotient and the
+    closed-component rule): the dense or ARPACK solve on the restricted
+    matrix, their oracle."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "_layer_quotient_mu0", lambda *rows: None)
         return dirichlet_mu0(G, support, **kwargs)
 
 
 def mu0_and_path(G, support):
-    """(dirichlet_mu0, whether the layer quotient gave it)."""
+    """(dirichlet_mu0, the way it was found): "quotient" from the layer
+    quotient, "closed" for the exact 0 of a support with a vertex that the
+    boundary does not reach (a support it does reach has mu0 > 0), or
+    "general" from the dense or ARPACK solve."""
     answers = []
 
     def spy(*rows):
@@ -79,7 +89,8 @@ def mu0_and_path(G, support):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "_layer_quotient_mu0", spy)
         mu0 = dirichlet_mu0(G, support)
-    return mu0, answers[0] is not None
+    answer = answers[0]
+    return mu0, "general" if answer is None else "closed" if answer == 0.0 else "quotient"
 
 
 def path_graph(n):
@@ -220,8 +231,8 @@ def test_radial_oracles_on_both_solver_branches():
     for radius in range(1, 8):
         for graph, oracle in cases:
             G, support = graph(radius)
-            got, by_quotient = mu0_and_path(G, support)
-            assert by_quotient and abs(got - oracle(radius)) < 1e-9, (graph.__name__, radius, got)
+            got, path = mu0_and_path(G, support)
+            assert path == "quotient" and abs(got - oracle(radius)) < 1e-9, (graph.__name__, radius, got)
             for cutoff in (1, 10**6) if len(support) <= 1000 else (1,):
                 got = general_mu0(G, support, dense_cutoff=cutoff)
                 assert abs(got - oracle(radius)) < 1e-9, (graph.__name__, radius, cutoff, got)
@@ -279,9 +290,11 @@ def test_sparse_and_dense_paths_agree():
 # -- the layer quotient against the general solver ------------------------------------
 
 
-def oracle_layers_equitable(G, support):
-    """Whether the layers of the support by distance to its boundary are an
-    equitable partition, by a plain-Python BFS over the adjacency sets."""
+def oracle_path(G, support):
+    """The way dirichlet_mu0 should answer, by a plain-Python BFS over the
+    adjacency sets from the support's boundary: "closed" if it misses a
+    vertex, "quotient" if the layers by distance to the boundary are an
+    equitable partition, else "general"."""
     adj = G.adjacency()
     front = [v for v in support if adj[v] - support]
     layer = dict.fromkeys(front, 0)
@@ -290,15 +303,15 @@ def oracle_layers_equitable(G, support):
         depth += 1
         front = list(dict.fromkeys(u for v in front for u in adj[v] & support if u not in layer))
         layer.update(dict.fromkeys(front, depth))
-    if not layer or len(layer) < len(support):
-        return False
+    if len(layer) < len(support):
+        return "closed"
     per_layer = {}
     for v in support:
         inside = [layer[u] - layer[v] for u in adj[v] & support]
         key = (len(adj[v]), inside.count(-1), inside.count(0), inside.count(1))
         if per_layer.setdefault(layer[v], key) != key:
-            return False
-    return True
+            return "general"
+    return "quotient"
 
 
 def single_step_ball(radius):
@@ -309,11 +322,12 @@ def single_step_ball(radius):
 
 
 def layer_cases():
-    """(name, graph, support, whether its layers are equitable)."""
+    """(name, graph, support, the way dirichlet_mu0 answers: see
+    ``mu0_and_path``)."""
     cases = []
     for radius in range(1, 8):
-        cases.append((f"tree r={radius}", *tree_ball_graph(radius), True))
-        cases.append((f"root-looped r={radius}", *root_looped_graph(radius), True))
+        cases.append((f"tree r={radius}", *tree_ball_graph(radius), "quotient"))
+        cases.append((f"root-looped r={radius}", *root_looped_graph(radius), "quotient"))
     for D, eps in ((8, 0), (5, -1), (17, 1)):
         proto = prototype(D, eps)
         rng = random.Random(f"layer-quotient:{proto.name}")
@@ -325,9 +339,9 @@ def layer_cases():
             shape = classify_component(ball)
             assert shape.kind == TREE4 or shape.loop_vertex is ball.root, (proto.name, shape)
             G, ids = FiniteGraph.from_adjacency(ball.simple_adjacency())
-            cases.append((f"G2 {proto.name} {shape.kind}", G, graph_ball(G, ids[ball.root], 5), True))
+            cases.append((f"G2 {proto.name} {shape.kind}", G, graph_ball(G, ids[ball.root], 5), "quotient"))
     single = single_step_ball(6)
-    cases.append(("one vertex with neighbours outside", single, {7}, True))
+    cases.append(("one vertex with neighbours outside", single, {7}, "quotient"))
     # a doubly non-periodic L17+1 start whose radius-4 ball has its loop at
     # distance 2 from the root
     ball = build_G2(parse_point(prototype(17, 1), "-22,9,-5,2"), radius=4)
@@ -342,33 +356,89 @@ def layer_cases():
     # the path 0 - 1 - 2 - 3 and the triangle 4 5 6, which no layer reaches
     path_and_triangle = FiniteGraph.from_edges(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6)])
     cases += [
-        ("loop away from the root", loop_away, graph_ball(loop_away, ids[ball.root], 3), False),
-        ("single-step ball with cycles", single, graph_ball(single, 0, 5), False),
-        ("off-centre ball", looped, graph_ball(looped, beside_root, 2), False),
-        ("disconnected", tree, graph_ball(tree, 0, 1) | {depth_3}, False),
-        ("isolated vertex", FiniteGraph.from_edges(3, [(0, 1)]), {2}, False),
-        ("closed component", path_and_triangle, {1, 2, 4, 5, 6}, False),
-        ("whole graph", whole, set(range(whole.n)), False),
+        ("loop away from the root", loop_away, graph_ball(loop_away, ids[ball.root], 3), "general"),
+        ("single-step ball with cycles", single, graph_ball(single, 0, 5), "general"),
+        ("off-centre ball", looped, graph_ball(looped, beside_root, 2), "general"),
+        ("disconnected", tree, graph_ball(tree, 0, 1) | {depth_3}, "general"),
+        ("isolated vertex", FiniteGraph.from_edges(3, [(0, 1)]), {2}, "closed"),
+        ("closed component", path_and_triangle, {1, 2, 4, 5, 6}, "closed"),
+        ("whole graph", whole, set(range(whole.n)), "closed"),
     ]
     return cases
 
 
 def test_layer_quotient_runs_exactly_on_equitable_supports():
-    for name, G, support, equitable in layer_cases():
-        assert oracle_layers_equitable(G, support) is equitable, name
-        mu0, by_quotient = mu0_and_path(G, support)
-        assert by_quotient is equitable, name
+    for name, G, support, want in layer_cases():
+        assert oracle_path(G, support) == want, name
+        mu0, path = mu0_and_path(G, support)
+        assert path == want, name
+        if path == "closed":
+            assert mu0 == 0.0 and type(mu0) is float, (name, mu0)
         solvers = [general_mu0(G, support)]
-        if equitable and len(support) <= 1000:
+        if path == "quotient" and len(support) <= 1000:
             solvers += [general_mu0(G, support, dense_cutoff=cutoff) for cutoff in (1, 10**6)]
         for general in solvers:
             assert abs(mu0 - general) < 1e-12, (name, mu0, general)
 
 
+def disjoint_union(*graphs):
+    """The disjoint union, each graph's ids shifted past the ones before."""
+    edges, n = [], 0
+    for H in graphs:
+        edges += [(u + n, v + n) for u, v in H.edges]
+        n += H.n
+    return FiniteGraph.from_edges(n, edges)
+
+
+def test_closed_components_above_the_cutoff_give_exact_zero():
+    # a support with a vertex that the boundary does not reach holds a whole
+    # component of G, whose indicator has Rayleigh quotient 0; above the
+    # dense cutoff the constant ARPACK start is then an exact kernel vector
+    # of a whole graph, which ARPACK cannot start from
+    tree_ball = build_G2(parse_point(prototype(8, 0), "1/5,1/5,2/5,1/5"), radius=4)
+    assert classify_component(tree_ball).kind == TREE4
+    tree = tree_ball.simple_graph()
+    looped = {n: FiniteGraph.from_adjacency(build_root_looped_tree(r)[0])[0] for n, r in ((243, 5), (729, 6))}
+    open_tree, open_support = tree_ball_graph(3)  # 53 vertices, a boundary
+    beside = disjoint_union(open_tree, looped[243])
+    wholes = [(tree, 161), (looped[243], 243), (looped[729], 729)]
+    for G, size in wholes:
+        support = set(range(G.n))
+        assert len(support) == size
+        assert mu0_and_path(G, support) == (0.0, "closed")
+        with pytest.raises(SpectralConvergenceError, match="Starting vector is zero") as info:
+            general_mu0(G, support)
+        assert info.value.residual is None
+    mixed = open_support | set(range(open_tree.n, beside.n))
+    assert len(mixed) == 53 + 243 and oracle_path(beside, mixed) == "closed"
+    assert mu0_and_path(beside, mixed) == (0.0, "closed")
+    assert abs(general_mu0(beside, mixed)) < 1e-12  # ARPACK starts: the open part moves v0
+
+
+def test_support_matrices_and_dense_mu0_match_the_scipy_ones():
+    # the dense branch builds the restricted Laplacian with numpy; it must
+    # be the scipy matrix entry for entry, so that eigvalsh, the same LAPACK
+    # call on it, returns the same float as eigvalsh of the scipy matrix
+    # densified, bit for bit
+    cutoff = inspect.signature(dirichlet_mu0).parameters["dense_cutoff"].default
+    cases = [(G, support) for G, support in restricted_laplacian_cases() if len(support) <= cutoff]
+    cases += [(G, support) for _, G, support, path in layer_cases() if path != "quotient"]
+    checked = 0
+    for G, support in cases:
+        rows = support_rows(G, support)
+        want = restricted_laplacian(G, support).toarray()
+        assert np.array_equal(_dense_dirichlet_laplacian(*rows), want)
+        if len(support) <= cutoff:
+            assert general_mu0(G, support) == float(np.linalg.eigvalsh(want)[0])
+            checked += 1
+    assert checked >= 10, checked
+
+
 def test_dirichlet_mu0_rejects_ids_that_are_not_ints():
-    # a cast to int64 would read 1.5 and "1" as vertex 1, and True as 1
+    # a cast to int64 would read 1.5 and "1" as vertex 1, and True as 1; an
+    # int past int64 would overflow it
     G = path_graph(4)
-    for support in ({1.5, 2}, {"1"}, {True, 2}):
+    for support in ({1.5, 2}, {"1"}, {True, 2}, {2**63, 1}, {-(2**63) - 1}, {2**100}):
         with pytest.raises(ValueError, match="are not ids of the 4-vertex graph"):
             dirichlet_mu0(G, support)
 
@@ -390,6 +460,20 @@ def test_convergence_error_carries_the_residual_of_the_returned_pair(monkeypatch
         with pytest.raises(SpectralConvergenceError) as info:
             dirichlet_mu0(G, {1, 2, 3}, dense_cutoff=1)
         assert info.value.residual == (pytest.approx(want, abs=1e-12) if want else None)
+
+
+def test_other_arpack_errors_become_convergence_errors(monkeypatch):
+    # the support {1, 2, 3} of test_convergence_error_carries_the_residual_of_the_returned_pair
+    G = FiniteGraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)])
+
+    def arpack_error(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackError(-8)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", arpack_error)
+    with pytest.raises(SpectralConvergenceError, match="eigensolver failed: ARPACK error -8") as info:
+        dirichlet_mu0(G, {1, 2, 3}, dense_cutoff=1)
+    assert info.value.residual is None
+    assert isinstance(info.value.__cause__, scipy.sparse.linalg.ArpackError)
 
 
 # -- Cheeger sandwich ---------------------------------------------------------------
@@ -553,14 +637,16 @@ def dense_laplacian(G):
     return L
 
 
-def test_restricted_laplacian_is_the_dense_one_restricted():
+def restricted_laplacian_cases():
+    """(graph, support) pairs: balls, scattered sets, single vertices and a
+    whole graph, on a tree, a root-looped tree and a graph with cycles."""
     rng = random.Random("restricted-laplacian")
     tree, tree_support = tree_ball_graph(3)
     looped, looped_support = root_looped_graph(3)
     P = SurfacePoint.from_fractions(prototype(8, 0), F(1, 5), F(1, 5), F(2, 5), F(1, 5))
     single = expand_ball(P, [("A", 1), ("A", -1), ("B", 1), ("B", -1)], 6).simple_graph()
     assert len(single.edges) > single.n - 1  # has cycles
-    cases = [
+    return [
         (tree, tree_support),
         (looped, looped_support),
         (single, graph_ball(single, 0, 4)),
@@ -569,6 +655,10 @@ def test_restricted_laplacian_is_the_dense_one_restricted():
         (tree, {0}),
         (looped, set(range(looped.n))),
     ]
+
+
+def test_restricted_laplacian_is_the_dense_one_restricted():
+    cases = restricted_laplacian_cases()
     for G, support in cases:
         idx = np.array(sorted(support))
         got = restricted_laplacian(G, support)

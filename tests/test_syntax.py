@@ -48,3 +48,52 @@ def test_library_uses_no_numpy_2_names():
     assert len(paths) >= 10
     for path in paths:
         assert _numpy_2_uses(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def _scipy_imports(source: str, allowed: str | None = None) -> list[str]:
+    """Lines that import scipy, by an import statement or by
+    ``importlib.import_module``/``__import__`` of a literal name, outside the
+    module-level function named ``allowed``."""
+    tree = ast.parse(source, feature_version=(3, 10))
+    inside = {
+        id(node)
+        for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == allowed
+        for node in ast.walk(fn)
+    }
+
+    def names(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom):
+            return [node.module or ""]
+        if isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called in ("import_module", "__import__"):
+                return [str(node.args[0].value)]
+        return []
+
+    return [
+        f"{node.lineno}: {name}"
+        for node in ast.walk(tree) if id(node) not in inside
+        for name in names(node) if name.split(".")[0] == "scipy"
+    ]
+
+
+def test_scipy_is_imported_only_inside_spectral_scipy():
+    # importing scipy costs about 0.2 s and 30 MB; spectral._scipy loads it at
+    # the first ARPACK solve, and no other line of the library may
+    sample = (
+        "import numpy, scipy.sparse\n"
+        "def _scipy():\n    import scipy.sparse.linalg\n"
+        "def f():\n    from scipy import linalg\n    importlib.import_module('scipy.sparse')\n"
+    )
+    assert _scipy_imports(sample, "_scipy") == ["1: scipy.sparse", "5: scipy", "6: scipy.sparse"]
+    assert _scipy_imports(sample) == ["1: scipy.sparse", "3: scipy.sparse.linalg", "5: scipy", "6: scipy.sparse"]
+    paths = sorted((ROOT / "src/lsurf").rglob("*.py"))
+    assert len(paths) >= 10
+    for path in paths:
+        source = path.read_text(encoding="utf-8")
+        allowed = "_scipy" if path.name == "spectral.py" else None
+        assert _scipy_imports(source, allowed) == [], path.name
+    assert _scipy_imports((ROOT / "src/lsurf/spectral.py").read_text(encoding="utf-8")), "no scipy import found"
